@@ -32,10 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .medium import COLLISION_POLICIES
+from .smoothing import MODES as SMOOTHING_MODES
+
 MODELS = ("pulse", "reference_swarmalator", "drone")
 FORMATIONS = ("quincunx", "random", "line", "ring")
-SMOOTHING_MODES = ("none", "moving_average", "exponential")
-COLLISION_POLICIES = ("drop_all", "deliver_all")
 
 QUINCUNX_POSITIONS = (
     (0.5, 0.5),
@@ -190,7 +191,10 @@ def parse_config(text: str) -> ScenarioConfig:
             if key == "scenario.events":
                 cfg.events.append(_parse_event(value))
             elif key in _FLOAT_KEYS:
-                setattr(cfg, _FLOAT_KEYS[key], float(value))
+                number = float(value)
+                if not math.isfinite(number):
+                    raise ValueError(f"{key} must be finite, got {value!r}")
+                setattr(cfg, _FLOAT_KEYS[key], number)
             elif key in _INT_KEYS:
                 setattr(cfg, _INT_KEYS[key], int(value))
             elif key in _STR_KEYS:

@@ -57,7 +57,6 @@ from .geometry import (
     TAU,
     SingularityError,
     random_unit,
-    unit,
     vec,
     wrap_angle,
 )

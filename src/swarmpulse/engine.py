@@ -27,15 +27,9 @@ import numpy as np
 
 from . import drone as drone_mod
 from .drone import DroneParams, DroneState
+from .geometry import NumericBlowup
 from .medium import BroadcastMedium, PulseMessage
 from .smoothing import IdentityFilter
-
-
-class NumericBlowup(RuntimeError):
-    def __init__(self, tick: int, agent_id: int):
-        super().__init__(f"non-finite state at tick {tick} for agent {agent_id}")
-        self.tick = tick
-        self.agent_id = agent_id
 
 
 class ScenarioEventError(ValueError):

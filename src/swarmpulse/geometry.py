@@ -27,6 +27,15 @@ class SingularityError(ValueError):
     """Raised when a direction is requested between (near-)coincident points."""
 
 
+class NumericBlowup(RuntimeError):
+    """A model's state stopped being finite; names the tick and the agent."""
+
+    def __init__(self, tick: int, agent_id: int):
+        super().__init__(f"non-finite state at tick {tick} for agent {agent_id}")
+        self.tick = tick
+        self.agent_id = agent_id
+
+
 def _require_finite(x: float, what: str) -> None:
     if not math.isfinite(x):
         raise ValueError(f"non-finite {what}: {x!r}")

@@ -21,13 +21,6 @@ TARGET_POLYGONS = {"pentagon_ring": 5, "square_ring": 4}
 
 
 @dataclass
-class SyncSample:
-    t: float
-    order_param: float
-    max_pair_diff: float
-
-
-@dataclass
 class SpacingSample:
     t: float
     am: float

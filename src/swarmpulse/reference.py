@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPSILON_DIST, TAU, random_unit, wrap_angle_array
+from .geometry import EPSILON_DIST, TAU, NumericBlowup, random_unit, wrap_angle_array
 
 
 @dataclass
@@ -59,14 +59,13 @@ class SwarmParams:
 
 
 def _pair_geometry(pos: np.ndarray, rng: np.random.Generator | None):
-    """Pairwise offsets, distances, and unit directions with the
-    coincident-pair fallback applied.
+    """Pairwise offsets and distances with the coincident-pair fallback
+    applied.
 
-    Returns (diff, dist, direction) where diff[i, j] = x_j - x_i. The
-    diagonal of dist is set to 1 to keep divisions clean; diagonal terms
-    are masked out of every sum.
+    Returns (diff, dist) where diff[i, j] = x_j - x_i. The diagonal of
+    dist is set to 1 to keep divisions clean; diagonal terms are masked
+    out of every sum.
     """
-    n = pos.shape[0]
     diff = pos[None, :, :] - pos[:, None, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     np.fill_diagonal(dist, 1.0)
@@ -86,8 +85,7 @@ def _pair_geometry(pos: np.ndarray, rng: np.random.Generator | None):
             diff[j, i] = -u * EPSILON_DIST
             dist[i, j] = dist[j, i] = EPSILON_DIST
 
-    direction = diff / dist[:, :, None]
-    return diff, dist, direction
+    return diff, dist
 
 
 def step_positions(
@@ -114,7 +112,7 @@ def velocities(
 ) -> np.ndarray:
     """Per-agent velocity field of the spatial dynamics."""
     n = pos.shape[0]
-    diff, dist, direction = _pair_geometry(pos, rng)
+    diff, dist = _pair_geometry(pos, rng)
     phase_diff = theta[None, :] - theta[:, None]
     gain = params.a + params.j * np.cos(phase_diff)
     coeff = gain / dist - params.b / (dist * dist)
@@ -131,7 +129,7 @@ def step_phases(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """One Euler step of the phase dynamics; result wrapped to [0, 2*pi)."""
-    _, dist, _ = _pair_geometry(pos, rng)
+    _, dist = _pair_geometry(pos, rng)
     phase_diff = theta[None, :] - theta[:, None]
     coupling = np.sin(phase_diff) / dist
     np.fill_diagonal(coupling, 0.0)
@@ -189,6 +187,8 @@ def run_reference(
 
     `state` overrides the random initial condition (positions, thetas,
     omegas); `trace_every` keeps every k-th step plus the final one.
+    Raises NumericBlowup naming the step and the first agent whose
+    position stops being finite.
     """
     if dt <= 0.0 or duration <= 0.0:
         raise ValueError("duration and dt must be > 0")
@@ -209,6 +209,9 @@ def run_reference(
     record(0.0, velocities(pos, theta, params, rng))
     for step in range(1, steps + 1):
         new_pos, vel = step_positions(pos, theta, params, dt, rng)
+        finite = np.isfinite(new_pos).all(axis=1)
+        if not finite.all():
+            raise NumericBlowup(step, int(np.argmin(finite)))
         new_theta = step_phases(pos, theta, omega, params, dt, rng)
         pos, theta = new_pos, new_theta
         if step % trace_every == 0 or step == steps:

@@ -3,13 +3,20 @@
 One call builds the configured model, simulates it on a single
 timeline, and collects the three trace tables plus a summary dict. The
 same config and seed always produce byte-identical trace files.
+
+All three models share one sample path: a short driver per model steps
+it and hands each sample, as it is taken, to `_Recorder.record`, which
+appends the phase, position and metric rows; `_Recorder.finish` builds
+the summary from the last metric row plus the driver's add-ons (pulse:
+`fires_total`; reference: `max_speed`, `rainbow_correlation`; drone:
+`max_speed`, `medium`, `broadcasts`).
 """
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +24,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .config import ScenarioConfig, formation_positions
 from .drone import DroneParams
-from .engine import DroneSwarmEngine, NumericBlowup, ScenarioEvent
+from .engine import DroneSwarmEngine, ScenarioEvent
 from .geometry import TAU, seeded_rng
 from .medium import BroadcastMedium
 from .pulse import PulsePopulation
@@ -95,136 +102,106 @@ def run_config(
     return result
 
 
+class _Recorder:
+    """Trace rows and metric rows of one run, built one sample at a time.
+
+    `phase_scale` converts the phase column to radians for the metrics:
+    1 for models that trace radians, TAU for the pulse model's unit phases.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, name: str, phase_scale: float = 1.0):
+        self.cfg = cfg
+        self.name = name
+        self.phase_scale = phase_scale
+        self.phase_rows: list[tuple] = []
+        self.position_rows: list[tuple] = []
+        self.metric_rows: list[tuple] = []
+        self.agents = 0
+
+    def record(self, t, ids, theta, hidden=None, pos=None, vel=None, collisions=0) -> None:
+        """Append the rows of one sample; `ids`, `theta`, `hidden`, `pos`
+        and `vel` run over the same agents in the same order."""
+        self.agents = len(ids)
+        self.phase_rows.extend(
+            zip(repeat(t), ids, theta, repeat(None) if hidden is None else hidden)
+        )
+        if self.phase_scale != 1.0:
+            theta = [p * self.phase_scale for p in theta]
+        spacing = (None,) * 4
+        if pos is not None:
+            self.position_rows.extend(
+                (t, i, float(p[0]), float(p[1]), float(v[0]), float(v[1]))
+                for i, p, v in zip(ids, pos, vel)
+            )
+            if len(ids) >= 2:
+                s = metrics_mod.pairwise_spacing(pos, t)
+                spacing = (s.am, s.gm, s.min, s.max)
+        self.metric_rows.append((
+            t, metrics_mod.order_parameter(theta), metrics_mod.max_pair_diff(theta),
+            *spacing, collisions,
+        ))
+
+    def finish(self, fire_log=(), final=None, **extra) -> RunResult:
+        """The run's result; `final` extends the summary's `final` block
+        and `extra` adds top-level summary keys."""
+        keys = METRICS_HEADER[:7] if self.position_rows else METRICS_HEADER[:3]
+        cfg = self.cfg
+        summary = {
+            "scenario": self.name,
+            "model": cfg.model,
+            "seed": cfg.seed,
+            "duration": cfg.duration,
+            "dt": cfg.dt,
+            "agents_final": self.agents,
+            "final": {**dict(zip(keys, self.metric_rows[-1])), **(final or {})},
+            **extra,
+        }
+        return RunResult(self.name, cfg, self.phase_rows, self.position_rows,
+                         self.metric_rows, list(fire_log), summary)
+
+
 # -- pulse ---------------------------------------------------------------
 
 
 def _run_pulse(cfg: ScenarioConfig, name: str) -> RunResult:
     rng = seeded_rng(cfg.seed)
     pop = PulsePopulation(list(rng.uniform(0.0, 1.0, cfg.n)), cfg.pulse_k, cfg.pulse_rate)
-    phase_rows: list[tuple] = []
-    metric_rows: list[tuple] = []
+    rec = _Recorder(cfg, name, phase_scale=TAU)
+    ids = range(cfg.n)
     fire_log: list[tuple[float, int]] = []
 
-    def record() -> None:
-        t = pop.t
-        for i, phase in enumerate(pop.phases):
-            phase_rows.append((t, i, phase, None))
-        thetas = [p * TAU for p in pop.phases]
-        metric_rows.append(
-            (
-                t,
-                metrics_mod.order_parameter(thetas),
-                pop.spread() * TAU,
-                None,
-                None,
-                None,
-                None,
-                0,
-            )
-        )
-
-    record()
+    rec.record(pop.t, ids, pop.phases)
     steps = int(round(cfg.duration / cfg.dt))
     every = _sample_every(cfg)
     for step in range(1, steps + 1):
-        for event in pop.advance(cfg.dt):
-            fire_log.append((event.time, event.osc_id))
+        fire_log.extend((event.time, event.osc_id) for event in pop.advance(cfg.dt))
         if step % every == 0 or step == steps:
-            record()
-
-    final = metric_rows[-1]
-    summary = {
-        "scenario": name,
-        "model": cfg.model,
-        "seed": cfg.seed,
-        "duration": cfg.duration,
-        "dt": cfg.dt,
-        "agents_final": cfg.n,
-        "fires_total": len(fire_log),
-        "final": {
-            "t": final[0],
-            "order_param": final[1],
-            "max_pair_diff": final[2],
-        },
-    }
-    return RunResult(name, cfg, phase_rows, [], metric_rows, fire_log, summary)
+            rec.record(pop.t, ids, pop.phases)
+    return rec.finish(fire_log, fires_total=len(fire_log))
 
 
 # -- reference swarmalator -------------------------------------------------
 
 
 def _run_reference(cfg: ScenarioConfig, name: str) -> RunResult:
-    rng = seeded_rng(cfg.seed)
-    params = SwarmParams(
-        n=cfg.n,
-        k=cfg.ref_k,
-        j=cfg.ref_j,
-        a=cfg.ref_a,
-        b=cfg.ref_b,
-        freq_var=cfg.ref_freq_var,
+    params = SwarmParams(n=cfg.n, k=cfg.ref_k, j=cfg.ref_j, a=cfg.ref_a, b=cfg.ref_b,
+                         freq_var=cfg.ref_freq_var)
+    trace = run_reference(params, cfg.duration, cfg.dt, seeded_rng(cfg.seed),
+                          base_omega=cfg.ref_omega, trace_every=_sample_every(cfg))
+    rec = _Recorder(cfg, name)
+    ids = range(cfg.n)
+    for t, pos, theta, vel in zip(
+        trace.times.tolist(), trace.positions, trace.thetas, trace.velocities
+    ):
+        rec.record(t, ids, theta.tolist(), pos=pos, vel=vel)
+    return rec.finish(
+        final={
+            "max_speed": float(np.max(np.linalg.norm(trace.velocities[-1], axis=1))),
+            "rainbow_correlation": metrics_mod.rainbow_correlation(
+                trace.positions[-1], trace.thetas[-1]
+            ),
+        }
     )
-    trace = run_reference(
-        params,
-        cfg.duration,
-        cfg.dt,
-        rng,
-        base_omega=cfg.ref_omega,
-        trace_every=_sample_every(cfg),
-    )
-
-    phase_rows: list[tuple] = []
-    position_rows: list[tuple] = []
-    metric_rows: list[tuple] = []
-    for s in range(len(trace.times)):
-        t = float(trace.times[s])
-        pos = trace.positions[s]
-        vel = trace.velocities[s]
-        theta = trace.thetas[s]
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(theta))):
-            bad = int(np.nonzero(~np.isfinite(pos).all(axis=1) | ~np.isfinite(theta))[0][0])
-            raise NumericBlowup(s, bad)
-        for i in range(cfg.n):
-            phase_rows.append((t, i, float(theta[i]), None))
-            position_rows.append(
-                (t, i, float(pos[i, 0]), float(pos[i, 1]), float(vel[i, 0]), float(vel[i, 1]))
-            )
-        spacing = metrics_mod.pairwise_spacing(pos, t)
-        metric_rows.append(
-            (
-                t,
-                metrics_mod.order_parameter(theta),
-                metrics_mod.max_pair_diff(theta),
-                spacing.am,
-                spacing.gm,
-                spacing.min,
-                spacing.max,
-                0,
-            )
-        )
-
-    final = metric_rows[-1]
-    final_speed = float(np.max(np.linalg.norm(trace.velocities[-1], axis=1)))
-    rc = metrics_mod.rainbow_correlation(trace.positions[-1], trace.thetas[-1])
-    summary = {
-        "scenario": name,
-        "model": cfg.model,
-        "seed": cfg.seed,
-        "duration": cfg.duration,
-        "dt": cfg.dt,
-        "agents_final": cfg.n,
-        "final": {
-            "t": final[0],
-            "order_param": final[1],
-            "max_pair_diff": final[2],
-            "am": final[3],
-            "gm": final[4],
-            "min": final[5],
-            "max": final[6],
-            "max_speed": final_speed,
-            "rainbow_correlation": rc,
-        },
-    }
-    return RunResult(name, cfg, phase_rows, position_rows, metric_rows, [], summary)
 
 
 # -- drone ----------------------------------------------------------------
@@ -272,86 +249,33 @@ def build_drone_engine(cfg: ScenarioConfig) -> DroneSwarmEngine:
 
 def _run_drone(cfg: ScenarioConfig, name: str) -> RunResult:
     engine = build_drone_engine(cfg)
-    phase_rows: list[tuple] = []
-    position_rows: list[tuple] = []
-    metric_rows: list[tuple] = []
+    rec = _Recorder(cfg, name)
 
     def on_sample(eng: DroneSwarmEngine) -> None:
-        t = eng.t
         alive = eng.alive_drones()
-        for d in alive:
-            phase_rows.append((t, d.id, d.theta, d.hidden))
-            position_rows.append(
-                (t, d.id, float(d.pos[0]), float(d.pos[1]), float(d.command[0]), float(d.command[1]))
-            )
-        thetas = [d.theta for d in alive]
-        positions = np.array([d.pos for d in alive])
-        if len(alive) >= 2:
-            spacing = metrics_mod.pairwise_spacing(positions, t)
-            am, gm, mn, mx = spacing.am, spacing.gm, spacing.min, spacing.max
-        else:
-            am = gm = mn = mx = None
-        metric_rows.append(
-            (
-                t,
-                metrics_mod.order_parameter(thetas),
-                metrics_mod.max_pair_diff(thetas),
-                am,
-                gm,
-                mn,
-                mx,
-                engine.medium.collision_count(),
-            )
-        )
+        rec.record(eng.t, [d.id for d in alive], [d.theta for d in alive],
+                   hidden=[d.hidden for d in alive], pos=[d.pos for d in alive],
+                   vel=[d.command for d in alive], collisions=eng.medium.collision_count())
 
     engine.run(cfg.duration, sample_every=_sample_every(cfg), on_sample=on_sample)
 
-    alive = engine.alive_drones()
-    final = metric_rows[-1]
     final_speed = max(
-        (float(np.linalg.norm(d.command)) for d in alive), default=0.0
+        (float(np.linalg.norm(d.command)) for d in engine.alive_drones()), default=0.0
     )
-    stats = engine.medium.stats
-    per_agent_fires = {}
-    for t, aid in engine.fire_log:
-        per_agent_fires.setdefault(aid, []).append(t)
     if len(engine.fire_log) >= 2:
         mean_gap, min_gap, jain = metrics_mod.broadcast_spacing_stats(
-            per_agent_fires.values()
+            [[t for t, _ in engine.fire_log]]
         )
     else:
         mean_gap = min_gap = jain = None
-    summary = {
-        "scenario": name,
-        "model": cfg.model,
-        "seed": cfg.seed,
-        "duration": cfg.duration,
-        "dt": cfg.dt,
-        "agents_final": len(alive),
-        "final": {
-            "t": final[0],
-            "order_param": final[1],
-            "max_pair_diff": final[2],
-            "am": final[3],
-            "gm": final[4],
-            "min": final[5],
-            "max": final[6],
-            "max_speed": final_speed,
-        },
-        "medium": {
-            "sent": stats.sent,
-            "delivered": stats.delivered,
-            "dropped": stats.dropped,
-            "collisions": stats.collisions,
-            "in_flight": engine.medium.in_flight(),
-        },
-        "broadcasts": {
+    return rec.finish(
+        engine.fire_log,
+        final={"max_speed": final_speed},
+        medium={**asdict(engine.medium.stats), "in_flight": engine.medium.in_flight()},
+        broadcasts={
             "total": len(engine.fire_log),
             "mean_gap": mean_gap,
             "min_gap": min_gap,
             "jain_fairness": jain,
         },
-    }
-    return RunResult(
-        name, cfg, phase_rows, position_rows, metric_rows, list(engine.fire_log), summary
     )

@@ -35,9 +35,6 @@ class IdentityFilter:
     def push(self, x: np.ndarray) -> np.ndarray:
         return np.array(x, dtype=np.float64)
 
-    def copy(self) -> "IdentityFilter":
-        return IdentityFilter()
-
 
 class MovingAverageFilter:
     """Mean of the last `window` command vectors (fewer during warm-up)."""
@@ -54,11 +51,6 @@ class MovingAverageFilter:
         for s in self._buf:
             total += s
         return total / len(self._buf)
-
-    def copy(self) -> "MovingAverageFilter":
-        f = MovingAverageFilter(self.window)
-        f._buf.extend(np.array(s) for s in self._buf)
-        return f
 
 
 class ExponentialFilter:
@@ -77,12 +69,6 @@ class ExponentialFilter:
         else:
             self.state = self.alpha * x + (1.0 - self.alpha) * self.state
         return np.array(self.state)
-
-    def copy(self) -> "ExponentialFilter":
-        f = ExponentialFilter(self.alpha)
-        if self.state is not None:
-            f.state = np.array(self.state)
-        return f
 
 
 def make_filter(mode: str, window: int = 10, alpha: float = 0.8):

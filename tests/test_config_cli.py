@@ -216,6 +216,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "tick 7" in err and "agent 2" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_reference_blowup_exits_3_naming_tick(self, tmp_path, capsys):
+        cfg = tmp_path / "blowup.cfg"
+        cfg.write_text(scenario_text("table1_static_sync") + "ref.a = 1e308\nduration = 1.0\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "tick 1 for agent 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ref.k", "inf"),
+            ("dt", "nan"),
+            ("duration", "inf"),
+            ("trace_rate", "inf"),
+            ("drone.speed_cap", "inf"),
+            ("medium.airtime", "-inf"),
+        ],
+    )
+    def test_non_finite_float_exits_2_naming_line(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(MINI_DRONE + f"{key} = {value}\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        line = len(MINI_DRONE.splitlines()) + 1
+        assert f"line {line}: {key} must be finite" in capsys.readouterr().err
+
 
 class TestCompare:
     def _run_mini(self, tmp_path, name, text):
