@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import ScenarioEvent
 from .medium import COLLISION_POLICIES
 from .smoothing import MODES as SMOOTHING_MODES
 
@@ -59,14 +60,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class EventSpec:
-    time: float
-    kind: str                      # "spawn" | "despawn"
-    pos: tuple[float, float] | None = None
-    target: int | str | None = None
-
-
-@dataclass
 class ScenarioConfig:
     """Complete description of one deterministic run."""
 
@@ -79,7 +72,7 @@ class ScenarioConfig:
 
     n: int = 5
     formation: str = "random"
-    events: list[EventSpec] = field(default_factory=list)
+    events: list[ScenarioEvent] = field(default_factory=list)
 
     # pulse model
     pulse_k: float = 0.05
@@ -154,21 +147,23 @@ _BOOL_KEYS = {
 }
 
 
-def _parse_event(value: str) -> EventSpec:
+def _parse_event(value: str) -> ScenarioEvent:
     parts = value.split()
     if len(parts) < 2:
         raise ValueError(f"event needs '<time> spawn x y' or '<time> despawn <id>': {value!r}")
     t = float(parts[0])
+    if not math.isfinite(t):
+        raise ValueError(f"event time must be finite, got {parts[0]!r}")
     kind = parts[1]
     if kind == "spawn":
         if len(parts) != 4:
             raise ValueError(f"spawn event needs '<time> spawn <x> <y>': {value!r}")
-        return EventSpec(time=t, kind="spawn", pos=(float(parts[2]), float(parts[3])))
+        return ScenarioEvent(time=t, kind="spawn", pos=(float(parts[2]), float(parts[3])))
     if kind == "despawn":
         if len(parts) != 3:
             raise ValueError(f"despawn event needs '<time> despawn <id|nearest_centroid>': {value!r}")
         target = parts[2] if parts[2] == "nearest_centroid" else int(parts[2])
-        return EventSpec(time=t, kind="despawn", target=target)
+        return ScenarioEvent(time=t, kind="despawn", target=target)
     raise ValueError(f"unknown event kind {kind!r}")
 
 
@@ -252,7 +247,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.model == "reference_swarmalator" and cfg.n < 2:
         bad("reference model needs at least 2 agents")
     for ev in cfg.events:
-        if ev.time < 0.0 or ev.time > cfg.duration:
+        if not 0.0 <= ev.time <= cfg.duration:
             bad(f"event time {ev.time} outside run [0, {cfg.duration}]")
 
     if problems:

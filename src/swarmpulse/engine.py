@@ -42,12 +42,13 @@ class ScenarioEvent:
 
     kind "spawn" uses `pos` (phases drawn from the scenario RNG at event
     time); kind "despawn" uses `target`, either an agent id or the
-    string "nearest_centroid".
+    string "nearest_centroid". Configs parse their `scenario.events`
+    lines into these.
     """
 
     time: float
-    kind: str
-    pos: np.ndarray | None = None
+    kind: str                      # "spawn" | "despawn"
+    pos: tuple[float, float] | np.ndarray | None = None
     target: int | str | None = None
 
 

@@ -5,17 +5,26 @@ positions, or fire times), safe to call from anywhere. These are the
 quantities the bundled scenarios trace and the acceptance checks assert
 on: phase synchrony, inter-agent spacing, how closely the swarm matches
 a regular polygon, and how evenly broadcasts are spaced in time.
+
+The pair observables are array operations over the pairs i < j in
+row-major order, whose index arrays are built once per agent count and
+shared read-only (`_pairs`). A distance is `sqrt(vecdot(d, d))`, the
+BLAS dot product `np.linalg.norm` uses, so it equals the norm of each
+offset bit for bit; `sqrt(sum(d * d))` and `hypot` differ from it in the
+last bit on some pairs. A phase difference is taken as theta_i - theta_j
+for i < j only, because the other orientation can round differently.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import circ_diff
+from .geometry import TAU
 
 TARGET_POLYGONS = {"pentagon_ring": 5, "square_ring": 4}
 
@@ -45,25 +54,33 @@ def mean_phase(thetas) -> float:
     angle = cmath.phase(complex(np.mean(np.exp(1j * thetas))))
     return angle % (2.0 * math.pi)
 
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) of every pair i < j of n agents, in row-major order;
+    read-only, shared by every caller."""
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
 def max_pair_diff(thetas) -> float:
     """Largest absolute pairwise circular phase difference, in [0, pi]."""
-    thetas = list(thetas)
-    worst = 0.0
-    for i in range(len(thetas)):
-        for j in range(i + 1, len(thetas)):
-            d = abs(circ_diff(thetas[i], thetas[j]))
-            if d > worst:
-                worst = d
-    return worst
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.size < 2:
+        return 0.0
+    i, j = _pairs(thetas.size)
+    d = np.mod(thetas[i] - thetas[j], TAU)
+    # |circ_diff|: d up to pi, else TAU - d (exactly -(d - TAU)), and the
+    # smaller of the two is always the one circ_diff picks.
+    return float(np.minimum(d, TAU - d).max())
 
 
 def _pair_distances(positions: np.ndarray) -> np.ndarray:
-    n = positions.shape[0]
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(float(np.linalg.norm(positions[j] - positions[i])))
-    return np.array(out)
+    i, j = _pairs(positions.shape[0])
+    diff = positions[j] - positions[i]
+    return np.sqrt(np.vecdot(diff, diff))
 
 
 def pairwise_spacing(positions, t: float = 0.0) -> SpacingSample:
@@ -95,12 +112,12 @@ def rainbow_correlation(positions, thetas) -> float | None:
     rel = positions - centroid
     alpha = np.arctan2(rel[:, 1], rel[:, 0])
 
-    da = np.sin(alpha[:, None] - alpha[None, :])
-    db = np.sin(thetas[:, None] - thetas[None, :])
-    iu = np.triu_indices(len(alpha), k=1)
-    num = float(np.sum(da[iu] * db[iu]))
-    den_a = float(np.sum(da[iu] ** 2))
-    den_b = float(np.sum(db[iu] ** 2))
+    i, j = _pairs(len(alpha))
+    da = np.sin(alpha[i] - alpha[j])
+    db = np.sin(thetas[i] - thetas[j])
+    num = float(np.sum(da * db))
+    den_a = float(np.sum(da**2))
+    den_b = float(np.sum(db**2))
     if den_a < 1e-15 or den_b < 1e-15:
         return None
     return num / math.sqrt(den_a * den_b)

@@ -15,6 +15,13 @@ Per step, from the pre-step snapshot of all positions x and phases theta:
 Integration is explicit Euler; updates are synchronous (both updates read
 the same snapshot). For two equal-phase agents the stationary separation
 is B / (A + J), where attraction and repulsion balance.
+
+Both rates come from one pair geometry (`_rates`), built once per step:
+`run_reference` records, with each state, the velocity it then
+integrates from that state. Agents closer than EPSILON_DIST get a random
+pair direction, drawn once per coincident pair each time the geometry is
+built. `velocities`, `step_positions` and `step_phases` are thin
+wrappers over the same rates.
 """
 
 from __future__ import annotations
@@ -67,11 +74,11 @@ def _pair_geometry(pos: np.ndarray, rng: np.random.Generator | None):
     out of every sum.
     """
     diff = pos[None, :, :] - pos[:, None, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    sq = diff * diff
+    dist = np.sqrt(sq[..., 0] + sq[..., 1])
     np.fill_diagonal(dist, 1.0)
 
     degenerate = dist <= EPSILON_DIST
-    np.fill_diagonal(degenerate, False)
     if degenerate.any():
         if rng is None:
             raise ValueError(
@@ -86,6 +93,42 @@ def _pair_geometry(pos: np.ndarray, rng: np.random.Generator | None):
             dist[i, j] = dist[j, i] = EPSILON_DIST
 
     return diff, dist
+
+
+def _rates(
+    pos: np.ndarray,
+    theta: np.ndarray,
+    omega: np.ndarray,
+    params: SwarmParams,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity and phase rate of every agent, from one pair geometry.
+
+    A pair distance that overflows is not a distance: it turns both
+    rates of the agents in that pair into NaN.
+    """
+    n = pos.shape[0]
+    diff, dist = _pair_geometry(pos, rng)
+    dist[np.isinf(dist)] = np.nan
+    phase_diff = theta[None, :] - theta[:, None]
+    gain = params.a + params.j * np.cos(phase_diff)
+    coeff = gain / dist - params.b / (dist * dist)
+    np.fill_diagonal(coeff, 0.0)
+    coupling = np.sin(phase_diff) / dist
+    np.fill_diagonal(coupling, 0.0)
+    vel = np.einsum("ij,ijk->ik", coeff, diff) / n
+    dtheta = omega + (params.k / n) * np.sum(coupling, axis=1)
+    return vel, dtheta
+
+
+def velocities(
+    pos: np.ndarray,
+    theta: np.ndarray,
+    params: SwarmParams,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Per-agent velocity field of the spatial dynamics."""
+    return _rates(pos, theta, np.zeros(pos.shape[0]), params, rng)[0]
 
 
 def step_positions(
@@ -104,22 +147,6 @@ def step_positions(
     return pos + vel * dt, vel
 
 
-def velocities(
-    pos: np.ndarray,
-    theta: np.ndarray,
-    params: SwarmParams,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-agent velocity field of the spatial dynamics."""
-    n = pos.shape[0]
-    diff, dist = _pair_geometry(pos, rng)
-    phase_diff = theta[None, :] - theta[:, None]
-    gain = params.a + params.j * np.cos(phase_diff)
-    coeff = gain / dist - params.b / (dist * dist)
-    np.fill_diagonal(coeff, 0.0)
-    return np.einsum("ij,ijk->ik", coeff, diff) / n
-
-
 def step_phases(
     pos: np.ndarray,
     theta: np.ndarray,
@@ -129,11 +156,7 @@ def step_phases(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """One Euler step of the phase dynamics; result wrapped to [0, 2*pi)."""
-    _, dist = _pair_geometry(pos, rng)
-    phase_diff = theta[None, :] - theta[:, None]
-    coupling = np.sin(phase_diff) / dist
-    np.fill_diagonal(coupling, 0.0)
-    dtheta = omega + (params.k / pos.shape[0]) * np.sum(coupling, axis=1)
+    dtheta = _rates(pos, theta, omega, params, rng)[1]
     return wrap_angle_array(theta + dtheta * dt)
 
 
@@ -163,6 +186,14 @@ def init_state(
     return pos, theta, omega
 
 
+def _check_finite(step: int, xy: np.ndarray, scalar: np.ndarray) -> None:
+    """Raise NumericBlowup naming the first agent with a non-finite entry
+    in its row of `xy` (N, 2) or in `scalar` (N,)."""
+    finite = np.isfinite(xy).all(axis=1) & np.isfinite(scalar)
+    if not finite.all():
+        raise NumericBlowup(step, int(np.argmin(finite)))
+
+
 @dataclass
 class ReferenceTrace:
     """Decimated trajectory of a reference run."""
@@ -187,8 +218,9 @@ def run_reference(
 
     `state` overrides the random initial condition (positions, thetas,
     omegas); `trace_every` keeps every k-th step plus the final one.
+    Each sample's velocity is the one the next step integrates.
     Raises NumericBlowup naming the step and the first agent whose
-    position stops being finite.
+    position, phase, pair distances or rates stop being finite.
     """
     if dt <= 0.0 or duration <= 0.0:
         raise ValueError("duration and dt must be > 0")
@@ -199,23 +231,21 @@ def run_reference(
 
     steps = int(round(duration / dt))
     times, positions, thetas, vels = [], [], [], []
-
-    def record(t: float, vel: np.ndarray) -> None:
-        times.append(t)
-        positions.append(pos.copy())
-        thetas.append(theta.copy())
-        vels.append(vel.copy())
-
-    record(0.0, velocities(pos, theta, params, rng))
-    for step in range(1, steps + 1):
-        new_pos, vel = step_positions(pos, theta, params, dt, rng)
-        finite = np.isfinite(new_pos).all(axis=1)
-        if not finite.all():
-            raise NumericBlowup(step, int(np.argmin(finite)))
-        new_theta = step_phases(pos, theta, omega, params, dt, rng)
-        pos, theta = new_pos, new_theta
+    vel, dtheta = _rates(pos, theta, omega, params, rng)
+    for step in range(steps + 1):
+        if step > 0:
+            pos = pos + vel * dt
+            theta = theta + dtheta * dt
+            _check_finite(step, pos, theta)
+            theta = wrap_angle_array(theta)
+            vel, dtheta = _rates(pos, theta, omega, params, rng)
+        # The initial rates count as step 1's, the first step to integrate them.
+        _check_finite(max(step, 1), vel, dtheta)
         if step % trace_every == 0 or step == steps:
-            record(step * dt, velocities(pos, theta, params, rng))
+            times.append(step * dt)
+            positions.append(pos)
+            thetas.append(theta)
+            vels.append(vel)
 
     return ReferenceTrace(
         times=np.array(times),

@@ -24,7 +24,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .config import ScenarioConfig, formation_positions
 from .drone import DroneParams
-from .engine import DroneSwarmEngine, ScenarioEvent
+from .engine import DroneSwarmEngine
 from .geometry import TAU, seeded_rng
 from .medium import BroadcastMedium
 from .pulse import PulsePopulation
@@ -221,15 +221,6 @@ def build_drone_engine(cfg: ScenarioConfig) -> DroneSwarmEngine:
     medium = BroadcastMedium(
         airtime=cfg.medium_airtime, collision_policy=cfg.medium_collision_policy
     )
-    events = [
-        ScenarioEvent(
-            time=ev.time,
-            kind=ev.kind,
-            pos=None if ev.pos is None else np.array(ev.pos, dtype=np.float64),
-            target=ev.target,
-        )
-        for ev in cfg.events
-    ]
     engine = DroneSwarmEngine(
         params=params,
         medium=medium,
@@ -240,7 +231,7 @@ def build_drone_engine(cfg: ScenarioConfig) -> DroneSwarmEngine:
         filter_factory=lambda: make_filter(
             cfg.smoothing_mode, cfg.smoothing_window, cfg.smoothing_alpha
         ),
-        events=events,
+        events=cfg.events,
     )
     for pos in formation_positions(cfg):
         engine.add_drone(pos)

@@ -13,8 +13,9 @@ from swarmpulse.config import (
     QUINCUNX_POSITIONS,
     formation_positions,
     parse_config,
+    validate_config,
 )
-from swarmpulse.engine import NumericBlowup
+from swarmpulse.engine import NumericBlowup, ScenarioEvent
 from swarmpulse.scenarios import SCENARIO_NAMES, describe, list_scenarios, scenario_text
 from swarmpulse.traces import compare_metrics
 
@@ -91,6 +92,21 @@ class TestParsing:
     def test_event_outside_run_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINI_DRONE + "scenario.events = 99.0 spawn 0 0\n")
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_event_time_rejected_naming_line(self, time):
+        # A nan time never compares <= the clock, so it would block every later event.
+        text = MINI_DRONE + f"scenario.events = {time} spawn 0 0\nscenario.events = 1.0 spawn 0.3 0.3\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        line = len(MINI_DRONE.splitlines()) + 1
+        assert f"line {line}: event time must be finite" in str(exc.value)
+
+    def test_validate_rejects_nan_event_time(self):
+        cfg = parse_config(MINI_DRONE)
+        cfg.events = [ScenarioEvent(time=math.nan, kind="spawn", pos=(0.0, 0.0))]
+        with pytest.raises(ConfigError, match="outside run"):
+            validate_config(cfg)
 
     def test_positive_hidden_coupling_rejected(self):
         with pytest.raises(ConfigError):
@@ -222,6 +238,25 @@ class TestCli:
         cfg.write_text(scenario_text("table1_static_sync") + "ref.a = 1e308\nduration = 1.0\n")
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "tick 1 for agent 0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_reference_overflowing_distances_exit_3(self, tmp_path, capsys):
+        # Positions near 1e158 are finite, but their pair distances overflow.
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(scenario_text("table1_static_sync") + "ref.a = 1e160\nduration = 1.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 3
+        assert "tick 1 for agent" in capsys.readouterr().err
+        assert not (out / "overflow" / "metrics.csv").exists()
+
+    def test_nan_event_time_exits_2(self, tmp_path, capsys):
+        text = scenario_text("join_mid").replace(
+            "scenario.events", "scenario.events = nan spawn 0 0\nscenario.events", 1
+        )
+        cfg = tmp_path / "nan_event.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "event time must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value",

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swarmpulse.geometry import TAU, seeded_rng
+from swarmpulse.geometry import TAU, circ_diff, seeded_rng
 from swarmpulse.metrics import (
     broadcast_spacing_stats,
     formation_error,
@@ -85,6 +86,49 @@ class TestPairwiseSpacing:
     def test_single_agent_rejected(self):
         with pytest.raises(ValueError):
             pairwise_spacing(np.array([[0.0, 0.0]]))
+
+
+@st.composite
+def swarms(draw):
+    """N in [2, 80] agents: positions at one scale in [1e-3, 1e3] about a
+    random centre, phases anywhere on the circle."""
+    n = draw(st.integers(2, 80))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    centre = rng.uniform(-1e3, 1e3, 2)
+    return centre + scale * rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(0.0, TAU, n)
+
+
+class TestPairObservablesMatchLoop:
+    """The array forms equal, bit for bit, the pair-by-pair loop over i < j."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(swarms())
+    def test_pairwise_spacing(self, swarm):
+        pos, _ = swarm
+        n = len(pos)
+        d = np.array([
+            float(np.linalg.norm(pos[j] - pos[i])) for i in range(n) for j in range(i + 1, n)
+        ])
+        s = pairwise_spacing(pos, t=1.5)
+        gm = 0.0 if np.any(d == 0.0) else float(np.exp(np.mean(np.log(d))))
+        assert (s.t, s.am, s.gm, s.min, s.max) == (
+            1.5, float(np.mean(d)), gm, float(np.min(d)), float(np.max(d))
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(swarms())
+    def test_max_pair_diff(self, swarm):
+        _, thetas = swarm
+        thetas = thetas.tolist()
+        n = len(thetas)
+        worst = max(abs(circ_diff(thetas[i], thetas[j])) for i in range(n) for j in range(i + 1, n))
+        got = max_pair_diff(thetas)
+        assert type(got) is float and got == worst
+
+    def test_max_pair_diff_of_fewer_than_two_is_zero(self):
+        assert max_pair_diff([]) == 0.0
+        assert max_pair_diff([2.0]) == 0.0
 
 
 class TestRainbowCorrelation:

@@ -178,6 +178,21 @@ class TestRunReference:
         with pytest.warns(UserWarning):
             SwarmParams(n=3, k=0.1, j=2.0, a=1.0)
 
+    @pytest.mark.parametrize("coincident", [False, True])
+    def test_recorded_velocity_is_the_one_integrated(self, coincident):
+        p = SwarmParams(n=5, k=0.7, j=0.8, a=1.0, b=3.0)
+        pos, theta, omega = init_state(p, seeded_rng(4))
+        if coincident:
+            pos[3] = pos[1]
+        dt = 0.01
+        trace = run_reference(p, 0.5, dt, seeded_rng(5), trace_every=1, state=(pos, theta, omega))
+        assert len(trace.times) == 51
+        assert np.all(np.isfinite(trace.velocities))
+        for k in range(len(trace.times) - 1):
+            assert np.array_equal(
+                trace.positions[k + 1], trace.positions[k] + trace.velocities[k] * dt
+            )
+
     def test_coincident_agents_use_rng_fallback(self):
         p = SwarmParams(n=2, k=0.0, j=0.0, a=1.0, b=1.0)
         pos = np.zeros((2, 2))
