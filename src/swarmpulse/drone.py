@@ -43,12 +43,20 @@ used because it keeps the sign, the small-phase gain and the pulse-only
 payload of the sin law while letting every harmonic repel.
 
 No update ever depends on how many drones are in the swarm.
+
+State lives in arrays, not in per-drone objects. A `DroneArrays` holds
+one row per drone: position, held command, (theta, hidden) and
+(omega, hidden_omega). The clock and motion kernels, `advance_clock` and
+`apply_motion`, step every row at once; `on_pulse_received` updates the
+one row of its recipient on Python floats, and the smoothing filters
+take and return (x, y) pairs. A `Drone` is a handle on one row whose
+attributes read and write that row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +65,6 @@ from .geometry import (
     TAU,
     SingularityError,
     random_unit,
-    vec,
     wrap_angle,
 )
 
@@ -86,20 +93,89 @@ class DroneParams:
             raise ValueError(f"a and b must be > 0, got a={self.a}, b={self.b}")
 
 
-@dataclass
-class DroneState:
-    """One drone. `command` is the held velocity (already smoothed and
-    capped); it persists between pulses as a zero-order hold."""
+class DroneArrays:
+    """State of a set of drones, one row each, as contiguous float64 arrays.
 
-    id: int
-    pos: np.ndarray
-    theta: float
-    hidden: float
-    omega: float
-    hidden_omega: float
-    filter: object
-    alive: bool = True
-    command: np.ndarray = field(default_factory=lambda: vec(0.0, 0.0))
+    `pos` and `command` are (n, 2); `command` is the held velocity
+    (already smoothed and capped), kept between pulses as a zero-order
+    hold. `phases` is (n, 2) holding (theta, hidden) in [0, 2*pi), and
+    `rates` is (n, 2) holding (omega, hidden_omega). `pos`, `command`
+    and `phases` are consecutive views of one buffer, `values`, so a
+    single reduction can check all three. Every kernel updates them in
+    place. `rate_dt`, the rates times dt, is cached by `advance_clock`;
+    whoever writes `rates` sets it back to None.
+    """
+
+    FIELDS = ("pos", "command", "phases", "rates")
+
+    def __init__(self, pos, command, phases, rates):
+        fields = [np.asarray(x, dtype=np.float64).reshape(-1, 2) for x in (pos, command, phases)]
+        self.values = np.concatenate([f.reshape(-1) for f in fields])
+        self.pos, self.command, self.phases = (
+            v.reshape(-1, 2) for v in np.split(self.values, 3)
+        )
+        self.rates = np.array(rates, dtype=np.float64).reshape(-1, 2)
+        self.rate_dt: np.ndarray | None = None
+        self.negative_rates = False
+
+    @classmethod
+    def gather(cls, drones) -> DroneArrays:
+        """Copy the current row of each drone, in the order given."""
+        return cls(*(
+            [getattr(d.state, name)[d.row] for d in drones] for name in cls.FIELDS
+        ))
+
+
+def _row_vector(name: str, doc: str) -> property:
+    def get(self) -> np.ndarray:
+        return getattr(self.state, name)[self.row].copy()
+
+    def set(self, value) -> None:
+        getattr(self.state, name)[self.row] = value
+
+    return property(get, set, doc=doc)
+
+
+def _row_scalar(name: str, col: int, doc: str) -> property:
+    def get(self) -> float:
+        return getattr(self.state, name).item(self.row, col)
+
+    if name == "phases":
+        def set(self, value: float) -> None:
+            self.state.phases[self.row, col] = wrap_angle(value)
+    else:
+        def set(self, value: float) -> None:
+            self.state.rates[self.row, col] = value
+            self.state.rate_dt = None
+
+    return property(get, set, doc=doc)
+
+
+class Drone:
+    """Handle on one drone: its id, its filter, and its row of a
+    `DroneArrays`.
+
+    `pos`, `command`, `theta`, `hidden`, `omega` and `hidden_omega` read
+    and write that row; vectors are returned as copies. A written phase
+    is wrapped into [0, 2*pi). The engine re-points `state` and `row`
+    whenever its membership changes.
+    """
+
+    __slots__ = ("id", "filter", "state", "row", "alive")
+
+    def __init__(self, drone_id: int, state: DroneArrays, row: int = 0, filter=None):
+        self.id = drone_id
+        self.filter = filter
+        self.state = state
+        self.row = row
+        self.alive = True
+
+    pos = _row_vector("pos", "position")
+    command = _row_vector("command", "held velocity")
+    theta = _row_scalar("phases", 0, "visible phase")
+    hidden = _row_scalar("phases", 1, "hidden (broadcast-staggering) phase")
+    omega = _row_scalar("rates", 0, "natural rate of the visible phase")
+    hidden_omega = _row_scalar("rates", 1, "natural rate of the hidden phase")
 
 
 @dataclass
@@ -115,36 +191,39 @@ class BroadcastDue:
 
 
 def movement_command(
-    delta: np.ndarray,
+    delta,
     phase_diff: float,
     params: DroneParams,
     rng: np.random.Generator | None = None,
-) -> np.ndarray:
+) -> tuple[float, float]:
     """Raw pairwise swarming command toward/away from one sender.
 
-    delta is x_sender - x_receiver. For near-coincident agents the
-    direction is drawn from the scenario RNG and the distance is held at
-    the floor value; the speed cap downstream bounds the resulting kick.
+    delta is the pair x_sender - x_receiver. For near-coincident agents
+    the direction is drawn from the scenario RNG and the distance is
+    held at the floor value; the speed cap downstream bounds the
+    resulting kick.
     """
-    d = float(math.hypot(delta[0], delta[1]))
+    dx, dy = delta
+    d = math.hypot(dx, dy)
     if d <= EPSILON_DIST:
         if rng is None:
             raise SingularityError("coincident drones and no RNG for fallback")
-        direction = random_unit(rng)
+        ux, uy = random_unit(rng).tolist()
         d = EPSILON_DIST
     else:
-        direction = delta / d
+        ux, uy = dx / d, dy / d
     gain = params.a + params.j * math.cos(phase_diff)
-    return direction * (gain - params.b / d)
+    scale = gain - params.b / d
+    return ux * scale, uy * scale
 
 
 def on_pulse_received(
-    me: DroneState,
+    me: Drone,
     msg,
     params: DroneParams,
     rng: np.random.Generator | None = None,
 ) -> None:
-    """Apply one received pulse to this drone, in place.
+    """Apply one received pulse to this drone's row, in place.
 
     Both phase kicks and the movement command are computed from the
     pre-update state; the hidden reference defaults to 0 (pulse timing
@@ -159,69 +238,86 @@ def on_pulse_received(
     """
     if msg.sender == me.id:
         raise ValueError(f"drone {me.id} received its own pulse")
-    phase_diff = msg.theta - me.theta
+    state, row = me.state, me.row
+    phases = state.phases
+    theta, hidden = phases[row].tolist()
+    phase_diff = msg.theta - theta
 
     if params.k_visible != 0.0:
-        me.theta = wrap_angle(me.theta + params.k_visible * math.sin(phase_diff))
+        phases[row, 0] = wrap_angle(theta + params.k_visible * math.sin(phase_diff))
     if params.k_hidden != 0.0:
         ref = 0.0 if msg.hidden is None else msg.hidden
-        psi = me.hidden - ref
-        me.hidden = wrap_angle(
-            me.hidden - params.k_hidden * math.sin(psi) / (2.0 - math.cos(psi))
+        psi = hidden - ref
+        phases[row, 1] = wrap_angle(
+            hidden - params.k_hidden * math.sin(psi) / (2.0 - math.cos(psi))
         )
 
-    raw = movement_command(msg.pos - me.pos, phase_diff, params, rng)
-    smoothed = me.filter.push(raw)
-    speed = float(math.hypot(smoothed[0], smoothed[1]))
+    x, y = state.pos[row].tolist()
+    sx, sy = msg.pos
+    cx, cy = me.filter.push(movement_command((sx - x, sy - y), phase_diff, params, rng))
+    speed = math.hypot(cx, cy)
     if speed > params.speed_cap:
-        smoothed = smoothed * (params.speed_cap / speed)
-    me.command = smoothed
+        scale = params.speed_cap / speed
+        cx, cy = cx * scale, cy * scale
+    command = state.command
+    command[row, 0] = cx
+    command[row, 1] = cy
 
 
-def advance_clock(me: DroneState, dt: float) -> list[BroadcastDue]:
-    """Advance both phases by dt at their natural rates.
+def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, BroadcastDue]]:
+    """Advance every row's phases by dt at their natural rates.
 
-    Returns a broadcast for every hidden-phase wrap inside the step,
-    timestamped at the exact crossing instant (visible phase
-    interpolated to that instant).
+    Returns (row, broadcast) for every hidden-phase wrap inside the
+    step, rows ascending, each timestamped at its exact crossing instant
+    (visible phase interpolated to that instant). A row whose hidden
+    rate is not positive never reaches 2*pi from below, so never fires.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    due: list[BroadcastDue] = []
-    if me.hidden_omega > 0.0:
-        raw = me.hidden + me.hidden_omega * dt
-        k = 1
-        while raw >= k * TAU:
-            offset = (k * TAU - me.hidden) / me.hidden_omega
-            due.append(
-                BroadcastDue(offset, wrap_angle(me.theta + me.omega * offset))
-            )
-            k += 1
-        me.hidden = wrap_angle(raw)
-    else:
-        me.hidden = wrap_angle(me.hidden + me.hidden_omega * dt)
-    me.theta = wrap_angle(me.theta + me.omega * dt)
+    if state.rate_dt is None:
+        state.rate_dt = state.rates * dt
+        state.negative_rates = bool((state.rates < 0.0).any())
+    phases = state.phases
+    raw = phases + state.rate_dt
+    due: list[tuple[int, BroadcastDue]] = []
+    hidden_raw = raw[:, 1]
+    if len(raw) and hidden_raw.max() >= TAU:
+        for row in np.flatnonzero(hidden_raw >= TAU).tolist():
+            theta, hidden = phases[row].tolist()
+            omega, hidden_omega = state.rates[row].tolist()
+            reached = raw.item(row, 1)
+            k = 1
+            while reached >= k * TAU:
+                offset = (k * TAU - hidden) / hidden_omega
+                due.append((row, BroadcastDue(offset, wrap_angle(theta + omega * offset))))
+                k += 1
+    # fmod of a non-negative value is exact and below TAU; a negative one
+    # plus TAU can round up to TAU, which wraps to 0 as in `wrap_angle`.
+    np.mod(raw, TAU, out=phases)
+    if state.negative_rates:
+        phases[phases >= TAU] -= TAU
     return due
 
 
-def apply_motion(me: DroneState, dt: float) -> None:
-    """Integrate the held velocity over dt."""
+def apply_motion(state: DroneArrays, dt: float) -> None:
+    """Integrate every row's held velocity over dt."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    me.pos = me.pos + me.command * dt
+    state.pos += state.command * dt
 
 
 def spawn(
     drone_id: int,
-    pos: np.ndarray,
+    pos,
     rng: np.random.Generator,
     params: DroneParams,
     base_omega: float,
     filter_factory,
     theta: float | None = None,
     hidden: float | None = None,
-) -> DroneState:
-    """Create a drone with seeded random phases and frequencies.
+) -> Drone:
+    """Create a drone, on a one-row state of its own, with seeded random
+    phases and frequencies.
 
     Draw order is fixed (theta, hidden, omega, hidden_omega) so spawns
     are reproducible. Explicit theta/hidden override the drawn value;
@@ -238,12 +334,13 @@ def spawn(
     else:
         omega = base_omega
         hidden_omega = base_omega
-    return DroneState(
-        id=drone_id,
-        pos=np.array(pos, dtype=np.float64),
-        theta=drawn_theta if theta is None else wrap_angle(theta),
-        hidden=drawn_hidden if hidden is None else wrap_angle(hidden),
-        omega=omega,
-        hidden_omega=hidden_omega,
-        filter=filter_factory(),
+    state = DroneArrays(
+        pos,
+        (0.0, 0.0),
+        (
+            drawn_theta if theta is None else wrap_angle(theta),
+            drawn_hidden if hidden is None else wrap_angle(hidden),
+        ),
+        (omega, hidden_omega),
     )
+    return Drone(drone_id, state, filter=filter_factory())

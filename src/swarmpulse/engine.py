@@ -5,7 +5,8 @@ scenario RNG, and the timed spawn/despawn events. Each tick covers
 [t, t + dt] and always runs in the same order:
 
 1. every living drone's clocks advance; hidden-phase wraps enqueue
-   pulses on the medium at their exact crossing instants;
+   pulses on the medium at their exact crossing instants, in ascending
+   sender id;
 2. all pulses due by the end of the tick are delivered in medium order
    (delivery time, then sender id), each recipient updated in ascending
    id order;
@@ -13,20 +14,34 @@ scenario RNG, and the timed spawn/despawn events. Each tick covers
 4. scenario events whose time has been reached take effect at the tick
    boundary.
 
+The living drones' state is one `drone.DroneArrays`, one row per drone
+in ascending id order: `pos` and `command` (n, 2), `phases` (n, 2) as
+(theta, hidden), `rates` (n, 2) as (omega, hidden_omega). It is rebuilt
+only when membership changes. Steps 1 and 3 are one array kernel each
+per tick (`drone.advance_clock`, `drone.apply_motion`); step 2 updates
+one recipient row per delivery (`drone.on_pulse_received`). Every value
+is computed by the same floating-point operations in the same order as
+a per-drone loop would, so the layout changes no output bit.
+`engine.drones[id]` and `alive_drones()` give `drone.Drone` handles
+that read and write those rows.
+
 Determinism is absolute: identical construction and dt yield identical
-trajectories, fire logs, and collision counts. State is checked finite
-every tick; a blow-up raises NumericBlowup naming the tick and agent.
+trajectories, fire logs, and collision counts. State is checked every
+tick; a position, phase or command that stops being finite, or a pair
+distance or speed whose square overflows, raises NumericBlowup naming
+the tick and agent.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import drone as drone_mod
-from .drone import DroneParams, DroneState
+from .drone import Drone, DroneArrays, DroneParams
 from .geometry import NumericBlowup
 from .medium import BroadcastMedium, PulseMessage
 from .smoothing import IdentityFilter
@@ -52,6 +67,30 @@ class ScenarioEvent:
     target: int | str | None = None
 
 
+# With every coordinate below this, a squared pair distance is at most
+# 8 * _COORD_LIMIT**2, half the largest float, and a squared speed less.
+_COORD_LIMIT = math.sqrt(sys.float_info.max / 16.0)
+
+
+def _first_bad_row(state: DroneArrays) -> int | None:
+    """Row of the first drone, in id order, whose own state is not
+    finite; failing that, the first whose speed or distance to some
+    other drone overflows when squared. None when neither happens."""
+    finite = (
+        np.isfinite(state.pos).all(axis=1)
+        & np.isfinite(state.command).all(axis=1)
+        & np.isfinite(state.phases).all(axis=1)
+    )
+    if finite.all():
+        with np.errstate(over="ignore"):
+            diff = state.pos[:, None, :] - state.pos[None, :, :]
+            finite = np.isfinite(np.vecdot(diff, diff)).all(axis=1) & np.isfinite(
+                np.vecdot(state.command, state.command)
+            )
+    bad = np.flatnonzero(~finite)
+    return int(bad[0]) if bad.size else None
+
+
 @dataclass
 class DroneSwarmEngine:
     params: DroneParams
@@ -66,7 +105,9 @@ class DroneSwarmEngine:
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        self.drones: dict[int, DroneState] = {}
+        self.drones: dict[int, Drone] = {}
+        self._alive: list[Drone] = []
+        self.state = DroneArrays.gather([])
         self.tick = 0
         self.fire_log: list[tuple[float, int]] = []
         self.events = sorted(self.events, key=lambda e: e.time)
@@ -85,7 +126,7 @@ class DroneSwarmEngine:
         theta: float | None = None,
         hidden: float | None = None,
         drone_id: int | None = None,
-    ) -> DroneState:
+    ) -> Drone:
         if drone_id is None:
             drone_id = self._next_id
         if drone_id in self.drones:
@@ -93,7 +134,7 @@ class DroneSwarmEngine:
         self._next_id = max(self._next_id, drone_id) + 1
         d = drone_mod.spawn(
             drone_id,
-            np.asarray(pos, dtype=np.float64),
+            pos,
             self.rng,
             self.params,
             self.base_omega,
@@ -102,6 +143,7 @@ class DroneSwarmEngine:
             hidden=hidden,
         )
         self.drones[drone_id] = d
+        self._rebuild()
         self.medium.join(drone_id, self.t)
         return d
 
@@ -110,17 +152,43 @@ class DroneSwarmEngine:
         if not d.alive:
             return
         d.alive = False
+        # The departed drone keeps a one-row copy of its last state.
+        d.state, d.row = DroneArrays.gather([d]), 0
+        self._rebuild()
         self.medium.leave(drone_id, self.t)
 
-    def alive_drones(self) -> list[DroneState]:
-        return [self.drones[i] for i in sorted(self.drones) if self.drones[i].alive]
+    def _rebuild(self) -> None:
+        """Gather the living drones' rows, in id order, into fresh arrays."""
+        alive = [self.drones[i] for i in sorted(self.drones) if self.drones[i].alive]
+        state = DroneArrays.gather(alive)
+        for row, d in enumerate(alive):
+            d.state, d.row = state, row
+        self._alive, self.state = alive, state
+
+    def alive_drones(self) -> list[Drone]:
+        return list(self._alive)
+
+    def snapshot(self) -> tuple[list[int], list[float], list[float], np.ndarray, np.ndarray]:
+        """(ids, theta, hidden, pos, vel) of the living drones in id order;
+        vel is the held command. Arrays are copies."""
+        s = self.state
+        return (
+            [d.id for d in self._alive],
+            s.phases[:, 0].tolist(),
+            s.phases[:, 1].tolist(),
+            s.pos.copy(),
+            s.command.copy(),
+        )
 
     def _nearest_centroid(self) -> int:
-        alive = self.alive_drones()
-        if not alive:
+        if not self._alive:
             raise ScenarioEventError("despawn of nearest_centroid with no agents alive")
-        centroid = np.mean([d.pos for d in alive], axis=0)
-        best = min(alive, key=lambda d: (float(np.linalg.norm(d.pos - centroid)), d.id))
+        pos = self.state.pos
+        centroid = np.mean(pos, axis=0)
+        best = min(
+            self._alive,
+            key=lambda d: (float(np.linalg.norm(pos[d.row] - centroid)), d.id),
+        )
         return best.id
 
     # -- stepping ------------------------------------------------------
@@ -128,31 +196,30 @@ class DroneSwarmEngine:
     def step(self) -> None:
         t0 = self.t
         t1 = (self.tick + 1) * self.dt
+        state = self.state
 
-        for d in self.alive_drones():
-            for due in drone_mod.advance_clock(d, self.dt):
-                sent_at = t0 + due.offset
-                self.fire_log.append((sent_at, d.id))
-                self.medium.broadcast(
-                    PulseMessage(
-                        sender=d.id,
-                        pos=d.pos.copy(),
-                        theta=due.theta,
-                        sent_at=sent_at,
-                        hidden=d.hidden if self.hidden_in_payload else None,
-                    )
+        for row, due in drone_mod.advance_clock(state, self.dt):
+            sender = self._alive[row].id
+            sent_at = t0 + due.offset
+            self.fire_log.append((sent_at, sender))
+            self.medium.broadcast(
+                PulseMessage(
+                    sender=sender,
+                    pos=tuple(state.pos[row].tolist()),
+                    theta=due.theta,
+                    sent_at=sent_at,
+                    hidden=state.phases.item(row, 1) if self.hidden_in_payload else None,
                 )
+            )
 
+        receive = drone_mod.on_pulse_received
         for delivery in self.medium.poll_deliveries(t1):
             for rid in delivery.recipients:
                 receiver = self.drones.get(rid)
                 if receiver is not None and receiver.alive:
-                    drone_mod.on_pulse_received(
-                        receiver, delivery.msg, self.params, self.rng
-                    )
+                    receive(receiver, delivery.msg, self.params, self.rng)
 
-        for d in self.alive_drones():
-            drone_mod.apply_motion(d, self.dt)
+        drone_mod.apply_motion(state, self.dt)
 
         self.tick += 1
         while (
@@ -162,14 +229,20 @@ class DroneSwarmEngine:
             self._apply_event(self.events[self._next_event])
             self._next_event += 1
 
-        for d in self.alive_drones():
-            if not (
-                math.isfinite(d.pos[0])
-                and math.isfinite(d.pos[1])
-                and math.isfinite(d.theta)
-                and math.isfinite(d.hidden)
-            ):
-                raise NumericBlowup(self.tick, d.id)
+        self._check_finite()
+
+    def _check_finite(self) -> None:
+        """Raise NumericBlowup unless every position, phase and command
+        is finite and no pair distance or speed overflows when squared.
+
+        The fast test bounds every coordinate by _COORD_LIMIT; only a
+        state that fails it is scanned drone by drone.
+        """
+        s = self.state
+        if s.values.size and not np.abs(s.values).max() < _COORD_LIMIT:
+            row = _first_bad_row(s)
+            if row is not None:
+                raise NumericBlowup(self.tick, self._alive[row].id)
 
     def _apply_event(self, event: ScenarioEvent) -> None:
         if event.kind == "spawn":

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 COLLISION_POLICIES = ("drop_all", "deliver_all")
 
 
@@ -36,7 +34,7 @@ class PulseMessage:
     """
 
     sender: int
-    pos: np.ndarray
+    pos: tuple[float, float]   # sender's position when it fired
     theta: float
     sent_at: float
     hidden: float | None = None

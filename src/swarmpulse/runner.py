@@ -243,15 +243,14 @@ def _run_drone(cfg: ScenarioConfig, name: str) -> RunResult:
     rec = _Recorder(cfg, name)
 
     def on_sample(eng: DroneSwarmEngine) -> None:
-        alive = eng.alive_drones()
-        rec.record(eng.t, [d.id for d in alive], [d.theta for d in alive],
-                   hidden=[d.hidden for d in alive], pos=[d.pos for d in alive],
-                   vel=[d.command for d in alive], collisions=eng.medium.collision_count())
+        ids, theta, hidden, pos, vel = eng.snapshot()
+        rec.record(eng.t, ids, theta, hidden=hidden, pos=pos, vel=vel,
+                   collisions=eng.medium.collision_count())
 
     engine.run(cfg.duration, sample_every=_sample_every(cfg), on_sample=on_sample)
 
     final_speed = max(
-        (float(np.linalg.norm(d.command)) for d in engine.alive_drones()), default=0.0
+        (float(np.linalg.norm(v)) for v in engine.snapshot()[4]), default=0.0
     )
     if len(engine.fire_log) >= 2:
         mean_gap, min_gap, jain = metrics_mod.broadcast_spacing_stats(

@@ -9,11 +9,15 @@ members react to one peer at a time. Two filters damp that artifact:
 * exponential smoothing with weight alpha,
   out[n] = alpha * x[n] + (1 - alpha) * out[n-1].
 
-Both operate on 2D command vectors. Warm-up deliberately avoids
+Both operate on 2D commands given and returned as (x, y) pairs of
+floats, component by component. Warm-up deliberately avoids
 zero-padding: the moving average divides by the number of samples
 actually seen, and the exponential filter initialises its state to the
 first sample. Zero-padding would inject a phantom pull toward the origin
 during the first commands after takeoff.
+
+The moving average sums its window from 0.0 in arrival order, so each
+component gets the same bits as summing 2-vectors would.
 
 One filter instance belongs to exactly one agent and is never shared.
 """
@@ -22,35 +26,35 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
-from .geometry import vec
-
 MODES = ("none", "moving_average", "exponential")
 
 
 class IdentityFilter:
     """Pass-through used when smoothing is disabled."""
 
-    def push(self, x: np.ndarray) -> np.ndarray:
-        return np.array(x, dtype=np.float64)
+    def push(self, x) -> tuple[float, float]:
+        px, py = x
+        return px, py
 
 
 class MovingAverageFilter:
-    """Mean of the last `window` command vectors (fewer during warm-up)."""
+    """Mean of the last `window` commands (fewer during warm-up)."""
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError(f"moving average window must be >= 1, got {window}")
         self.window = int(window)
-        self._buf: deque[np.ndarray] = deque(maxlen=self.window)
+        self._buf: deque[tuple[float, float]] = deque(maxlen=self.window)
 
-    def push(self, x: np.ndarray) -> np.ndarray:
-        self._buf.append(np.array(x, dtype=np.float64))
-        total = vec(0.0, 0.0)
-        for s in self._buf:
-            total += s
-        return total / len(self._buf)
+    def push(self, x) -> tuple[float, float]:
+        px, py = x
+        self._buf.append((px, py))
+        sx = sy = 0.0
+        for px, py in self._buf:
+            sx += px
+            sy += py
+        n = len(self._buf)
+        return sx / n, sy / n
 
 
 class ExponentialFilter:
@@ -60,15 +64,17 @@ class ExponentialFilter:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = float(alpha)
-        self.state: np.ndarray | None = None
+        self.state: tuple[float, float] | None = None
 
-    def push(self, x: np.ndarray) -> np.ndarray:
-        x = np.array(x, dtype=np.float64)
+    def push(self, x) -> tuple[float, float]:
+        px, py = x
         if self.state is None:
-            self.state = x
+            self.state = (px, py)
         else:
-            self.state = self.alpha * x + (1.0 - self.alpha) * self.state
-        return np.array(self.state)
+            a, b = self.alpha, 1.0 - self.alpha
+            sx, sy = self.state
+            self.state = (a * px + b * sx, a * py + b * sy)
+        return self.state
 
 
 def make_filter(mode: str, window: int = 10, alpha: float = 0.8):

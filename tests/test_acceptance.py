@@ -406,10 +406,13 @@ def test_c11_filter_properties():
         for x, y in zip(xs, ys):
             lo = np.minimum(lo, x)
             hi = np.maximum(hi, x)
-            out = f.push(x)
+            # Filters take and return (x, y) pairs.
+            out = np.array(f.push(x))
             assert np.all(out >= lo - 1e-9) and np.all(out <= hi + 1e-9)
             assert np.allclose(
-                fc.push(a * x + b * y), a * fa.push(x) + b * fb.push(y), atol=1e-9
+                fc.push(a * x + b * y),
+                a * np.array(fa.push(x)) + b * np.array(fb.push(y)),
+                atol=1e-9,
             )
         streams += 1
 

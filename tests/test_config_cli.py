@@ -249,6 +249,19 @@ class TestCli:
         assert "tick 1 for agent" in capsys.readouterr().err
         assert not (out / "overflow" / "metrics.csv").exists()
 
+    def test_drone_overflow_exits_3_naming_tick(self, tmp_path, capsys):
+        # Every coordinate stays finite, but from t = 0.28 s the speeds
+        # and pair distances overflow when squared; nothing is written.
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(
+            scenario_text("quincunx_ma10")
+            + "duration = 2.0\ndrone.b = 1e308\ndrone.speed_cap = 1e308\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 3
+        assert "tick 56 for agent 0" in capsys.readouterr().err
+        assert not (out / "overflow").exists()
+
     def test_nan_event_time_exits_2(self, tmp_path, capsys):
         text = scenario_text("join_mid").replace(
             "scenario.events", "scenario.events = nan spawn 0 0\nscenario.events", 1

@@ -8,14 +8,15 @@ import pytest
 from swarmpulse import metrics
 from swarmpulse.config import parse_config
 from swarmpulse.drone import (
+    Drone,
+    DroneArrays,
     DroneParams,
-    DroneState,
     advance_clock,
     apply_motion,
     movement_command,
     on_pulse_received,
 )
-from swarmpulse.engine import DroneSwarmEngine, ScenarioEvent
+from swarmpulse.engine import DroneSwarmEngine, NumericBlowup, ScenarioEvent
 from swarmpulse.geometry import TAU, circ_diff, seeded_rng, vec
 from swarmpulse.medium import BroadcastMedium, PulseMessage
 from swarmpulse.runner import build_drone_engine
@@ -26,15 +27,9 @@ TABLE_PARAMS = DroneParams(k_visible=0.1, k_hidden=-0.1, j=0.8, a=1.0, b=3.0)
 
 
 def drone(drone_id=0, pos=(0.0, 0.0), theta=0.0, hidden=0.0, omega=TAU, hidden_omega=TAU):
-    return DroneState(
-        id=drone_id,
-        pos=vec(*pos),
-        theta=theta,
-        hidden=hidden,
-        omega=omega,
-        hidden_omega=hidden_omega,
-        filter=IdentityFilter(),
-    )
+    """A lone drone on a one-row state of its own."""
+    state = DroneArrays([pos], [(0.0, 0.0)], [(theta, hidden)], [(omega, hidden_omega)])
+    return Drone(drone_id, state, filter=IdentityFilter())
 
 
 def pulse_from(sender, pos, theta, sent_at=0.0, hidden=None):
@@ -92,8 +87,8 @@ class TestPulseResponse:
         on_pulse_received(me, pulse_from(1, (1.0, 0.0), 0.0), params)
         first = me.command.copy()
         on_pulse_received(me, pulse_from(1, (2.0, 0.0), 0.0), params)
-        raw1 = movement_command(vec(1.0, 0.0), 0.0, params)
-        raw2 = movement_command(vec(2.0, 0.0), 0.0, params)
+        raw1 = np.array(movement_command(vec(1.0, 0.0), 0.0, params))
+        raw2 = np.array(movement_command(vec(2.0, 0.0), 0.0, params))
         assert np.allclose(first, raw1)
         assert np.allclose(me.command, (raw1 + raw2) / 2)
 
@@ -137,20 +132,22 @@ class TestPulseResponse:
 class TestClock:
     def test_hidden_wrap_emits_broadcast_at_crossing(self):
         me = drone(theta=1.0, hidden=TAU - 0.01, omega=2.0, hidden_omega=1.0)
-        due = advance_clock(me, 0.02)
+        due = advance_clock(me.state, 0.02)
         assert len(due) == 1
-        assert due[0].offset == pytest.approx(0.01)
-        assert due[0].theta == pytest.approx(1.0 + 2.0 * 0.01)
+        row, first = due[0]
+        assert row == me.row
+        assert first.offset == pytest.approx(0.01)
+        assert first.theta == pytest.approx(1.0 + 2.0 * 0.01)
         assert me.hidden == pytest.approx(0.01)
 
     def test_zero_omega_keeps_theta(self):
         me = drone(theta=0.7, omega=0.0, hidden_omega=1.0)
-        advance_clock(me, 0.5)
+        advance_clock(me.state, 0.5)
         assert me.theta == 0.7
 
     def test_no_wrap_no_broadcast(self):
         me = drone(hidden=1.0)
-        assert advance_clock(me, 0.01) == []
+        assert advance_clock(me.state, 0.01) == []
 
     def test_antiphase_pair_alternates_evenly(self):
         eng = build_engine(
@@ -212,20 +209,20 @@ class TestBroadcastStaggering:
 class TestMotion:
     def test_no_pulse_no_motion(self):
         me = drone(pos=(0.4, 0.2))
-        apply_motion(me, 1.0)
+        apply_motion(me.state, 1.0)
         assert np.array_equal(me.pos, vec(0.4, 0.2))
 
     def test_constant_command_integrates(self):
         me = drone()
         me.command = vec(1.0, 0.0)
-        apply_motion(me, 0.5)
+        apply_motion(me.state, 0.5)
         assert np.allclose(me.pos, vec(0.5, 0.0))
 
     def test_command_persists_between_pulses(self):
         me = drone()
         me.command = vec(0.2, -0.1)
         for _ in range(10):
-            apply_motion(me, 0.1)
+            apply_motion(me.state, 0.1)
         assert np.allclose(me.pos, vec(0.2, -0.1))
 
 
@@ -262,7 +259,7 @@ class TestEngineInvariants:
             me = drone(theta=0.9, hidden=2.5)
             out = []
             for msg in schedule:
-                advance_clock(me, 0.05)
+                advance_clock(me.state, 0.05)
                 on_pulse_received(me, msg, params)
                 out.append(me.theta)
             thetas.append(out)
@@ -385,14 +382,65 @@ class TestEvents:
         assert any(s == 2 for _, s in eng.fire_log)
 
     def test_blowup_detected_and_named(self):
-        from swarmpulse.engine import NumericBlowup
-
         eng = build_engine(n=2, positions=[(0.0, 0.0), (1.0, 0.0)])
         eng.drones[1].command = vec(math.inf, 0.0)
         with pytest.raises(NumericBlowup) as exc:
             eng.run(0.1)
         assert exc.value.agent_id == 1
         assert exc.value.tick >= 0
+
+
+class TestHandleWrites:
+    """Writes through the engine's handles mid-run land in its arrays."""
+
+    def test_zero_omega_freezes_theta_mid_run(self):
+        eng = build_engine(seed=7, n=4, params=DroneParams(k_visible=0.0, k_hidden=-0.1))
+        eng.run(1.0)
+        eng.drones[2].omega = 0.0
+        before = {d.id: d.theta for d in eng.alive_drones()}
+        eng.run(2.5)
+        after = {d.id: d.theta for d in eng.alive_drones()}
+        assert after[2] == before[2]
+        assert all(after[i] != before[i] for i in after if i != 2)
+
+    def test_pos_and_command_writes_integrate_exactly(self):
+        eng = build_engine(seed=7, n=3)
+        eng.run(0.5)
+        for d in eng.alive_drones():
+            d.hidden_omega = 0.0  # no further broadcasts
+        eng.run(0.5 + 2 * eng.dt)  # pulses already in flight land
+        assert eng.medium.in_flight() == 0
+        d = eng.drones[1]
+        d.pos = vec(0.3, -0.2)
+        d.command = vec(0.125, -0.0625)
+        eng.step()
+        assert np.array_equal(d.pos, vec(0.3, -0.2) + vec(0.125, -0.0625) * eng.dt)
+        assert np.array_equal(d.command, vec(0.125, -0.0625))
+
+    def test_departed_drone_keeps_its_last_state(self):
+        eng = build_engine(seed=3, n=3)
+        eng.run(1.0)
+        d = eng.drones[1]
+        last = (d.theta, d.hidden, d.pos)
+        eng.despawn(1)
+        eng.run(2.0)
+        assert (d.theta, d.hidden) == last[:2] and np.array_equal(d.pos, last[2])
+        assert [a.id for a in eng.alive_drones()] == [0, 2]
+
+
+class TestOverflow:
+    def test_overflowing_pair_distance_named(self):
+        # Every coordinate is finite; the squared distance of 1 and 2 is not.
+        eng = build_engine(n=3, positions=[(0.0, 0.0), (-1e154, 0.0), (1e154, 0.0)])
+        with pytest.raises(NumericBlowup) as exc:
+            eng.step()
+        assert (exc.value.tick, exc.value.agent_id) == (1, 1)
+
+    def test_large_but_safe_positions_run_on(self):
+        # Past the fast check's bound, but no square overflows.
+        eng = build_engine(n=2, positions=[(-4e153, 0.0), (4e153, 0.0)])
+        eng.run(2.0)
+        assert eng.tick == 400 and eng.fire_log
 
 
 class TestDeterminism:
