@@ -109,8 +109,9 @@ class DroneArrays:
     FIELDS = ("pos", "command", "phases", "rates")
 
     def __init__(self, pos, command, phases, rates):
-        fields = [np.asarray(x, dtype=np.float64).reshape(-1, 2) for x in (pos, command, phases)]
-        self.values = np.concatenate([f.reshape(-1) for f in fields])
+        self.values = np.concatenate(
+            [np.asarray(x, dtype=np.float64).reshape(-1) for x in (pos, command, phases)]
+        )
         self.pos, self.command, self.phases = (
             v.reshape(-1, 2) for v in np.split(self.values, 3)
         )
@@ -136,17 +137,23 @@ def _row_vector(name: str, doc: str) -> property:
     return property(get, set, doc=doc)
 
 
-def _row_scalar(name: str, col: int, doc: str) -> property:
+def _row_phase(col: int, doc: str) -> property:
     def get(self) -> float:
-        return getattr(self.state, name).item(self.row, col)
+        return self.state.phases.item(self.row, col)
 
-    if name == "phases":
-        def set(self, value: float) -> None:
-            self.state.phases[self.row, col] = wrap_angle(value)
-    else:
-        def set(self, value: float) -> None:
-            self.state.rates[self.row, col] = value
-            self.state.rate_dt = None
+    def set(self, value: float) -> None:
+        self.state.phases[self.row, col] = wrap_angle(value)
+
+    return property(get, set, doc=doc)
+
+
+def _row_rate(col: int, doc: str) -> property:
+    def get(self) -> float:
+        return self.state.rates.item(self.row, col)
+
+    def set(self, value: float) -> None:
+        self.state.rates[self.row, col] = value
+        self.state.rate_dt = None
 
     return property(get, set, doc=doc)
 
@@ -172,10 +179,10 @@ class Drone:
 
     pos = _row_vector("pos", "position")
     command = _row_vector("command", "held velocity")
-    theta = _row_scalar("phases", 0, "visible phase")
-    hidden = _row_scalar("phases", 1, "hidden (broadcast-staggering) phase")
-    omega = _row_scalar("rates", 0, "natural rate of the visible phase")
-    hidden_omega = _row_scalar("rates", 1, "natural rate of the hidden phase")
+    theta = _row_phase(0, "visible phase")
+    hidden = _row_phase(1, "hidden (broadcast-staggering) phase")
+    omega = _row_rate(0, "natural rate of the visible phase")
+    hidden_omega = _row_rate(1, "natural rate of the hidden phase")
 
 
 @dataclass
