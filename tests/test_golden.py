@@ -11,7 +11,8 @@ in `CHANGES.md`.
 the bundled scenarios never reach: `quincunx_ma10` with a few override
 lines each (a crowd, the deliver_all channel, exponential smoothing
 with the hidden phase in the payload, negative rates, several hidden
-wraps in one tick, a spawn on top of a live drone). Each variant's
+wraps in one tick, a spawn on top of a live drone, a spawn and a
+despawn with pulses in flight). Each variant's
 `test_variant_reaches_its_path` shows the run really takes that path.
 """
 
@@ -56,6 +57,13 @@ VARIANTS = {
         "duration = 5.0", "drone.j = 0.0", "medium.airtime = 0.0",
         "scenario.events = 0.0 spawn 0.0 0.0",
         "scenario.events = 3.0 despawn nearest_centroid",
+    ],
+    "churn_in_flight": [
+        # A 0.05 s airtime keeps pulses in flight across both events.
+        "duration = 3.0", "scenario.n = 12", "scenario.formation = random",
+        "medium.airtime = 0.05", "medium.collision_policy = deliver_all",
+        "scenario.events = 0.34 spawn 0.2 0.1",
+        "scenario.events = 0.36 despawn 6",
     ],
 }
 
@@ -126,3 +134,10 @@ def test_variant_reaches_its_path(name, monkeypatch):
         assert any(math.dist(d.pos, spawned.pos) == 0.0 for d in rest)
         engine.run(cfg.duration)
         assert fallbacks and len(engine.alive_drones()) == len(alive)
+    elif name == "churn_in_flight":
+        for event in cfg.events:
+            engine.run(event.time)
+            pending = [s for t, s in engine.fire_log if t + cfg.medium_airtime > event.time]
+            assert engine.medium.in_flight() == len(pending) > 0
+        # The despawned drone 6 has a pulse of its own still in flight.
+        assert 6 in pending and 6 not in [d.id for d in engine.alive_drones()]
