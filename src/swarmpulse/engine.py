@@ -7,12 +7,21 @@ scenario RNG, and the timed spawn/despawn events. Each tick covers
 1. every living drone's clocks advance; hidden-phase wraps enqueue
    pulses on the medium at their exact crossing instants, in ascending
    sender id;
-2. all pulses due by the end of the tick are delivered in medium order
-   (delivery time, then sender id), each recipient updated in ascending
-   id order;
+2. all pulses due by the end of the tick that survive the channel are
+   delivered in medium order (delivery time, then sender id), each to
+   every living drone except its sender, in ascending id order;
 3. every living drone integrates its held velocity over dt;
 4. scenario events whose time has been reached take effect at the tick
    boundary.
+
+The engine alone decides who hears a pulse. Membership changes only at
+a tick boundary t, after that tick's deliveries, so:
+
+- a drone that joins at t hears exactly the pulses delivered in later
+  ticks, that is after t;
+- a drone that leaves at t hears none after t;
+- a pulse already sent by a drone that has left still reaches the
+  others.
 
 The living drones' state is one `drone.DroneArrays`, one row per drone
 in ascending id order: `pos` and `command` (n, 2), `phases` (n, 2) as
@@ -144,7 +153,6 @@ class DroneSwarmEngine:
         )
         self.drones[drone_id] = d
         self._rebuild()
-        self.medium.join(drone_id, self.t)
         return d
 
     def despawn(self, drone_id: int) -> None:
@@ -155,7 +163,6 @@ class DroneSwarmEngine:
         # The departed drone keeps a one-row copy of its last state.
         d.state, d.row = DroneArrays.gather([d]), 0
         self._rebuild()
-        self.medium.leave(drone_id, self.t)
 
     def _rebuild(self) -> None:
         """Gather the living drones' rows, in id order, into fresh arrays."""
@@ -213,11 +220,10 @@ class DroneSwarmEngine:
             )
 
         receive = drone_mod.on_pulse_received
-        for delivery in self.medium.poll_deliveries(t1):
-            for rid in delivery.recipients:
-                receiver = self.drones.get(rid)
-                if receiver is not None and receiver.alive:
-                    receive(receiver, delivery.msg, self.params, self.rng)
+        for msg in self.medium.poll_deliveries(t1):
+            for receiver in self._alive:
+                if receiver.id != msg.sender:
+                    receive(receiver, msg, self.params, self.rng)
 
         drone_mod.apply_motion(state, self.dt)
 

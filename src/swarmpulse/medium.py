@@ -7,10 +7,9 @@ default drop_all policy collided pulses are lost for everyone; the
 deliver_all policy ignores interference and exists only to run
 no-interference ablations.
 
-There is no propagation delay and no range limit: every agent alive at
-the delivery instant hears every surviving pulse except its own. Agents
-joining mid-run hear only pulses delivered strictly after their join
-time; leaving agents stop transmitting and receiving instantly.
+The medium is a channel only: it does not know who is listening.
+There is no propagation delay and no range limit, and the engine hands
+each surviving pulse to its living agents.
 
 The medium is owned by the simulation engine and advanced on a single
 logical timeline, so delivery order (delivery_time, then sender id) is
@@ -48,12 +47,6 @@ class _InFlight:
 
 
 @dataclass
-class Delivery:
-    recipients: tuple[int, ...]
-    msg: PulseMessage
-
-
-@dataclass
 class MediumStats:
     sent: int = 0
     delivered: int = 0
@@ -68,8 +61,6 @@ class BroadcastMedium:
     airtime: float = 0.005
     collision_policy: str = "drop_all"
     _queue: list[_InFlight] = field(default_factory=list)
-    _joined: dict[int, float] = field(default_factory=dict)
-    _left: dict[int, float] = field(default_factory=dict)
     _last_poll: float = 0.0
     stats: MediumStats = field(default_factory=MediumStats)
 
@@ -81,25 +72,6 @@ class BroadcastMedium:
                 f"unknown collision policy {self.collision_policy!r} "
                 f"(expected one of {COLLISION_POLICIES})"
             )
-
-    # -- membership ----------------------------------------------------
-
-    def join(self, agent_id: int, when: float) -> None:
-        self._joined[agent_id] = when
-        self._left.pop(agent_id, None)
-
-    def leave(self, agent_id: int, when: float) -> None:
-        if agent_id in self._joined:
-            self._left[agent_id] = when
-
-    def _alive_at(self, t: float) -> list[int]:
-        out = []
-        for aid, joined in self._joined.items():
-            if joined < t and (aid not in self._left or t < self._left[aid]):
-                out.append(aid)
-        return sorted(out)
-
-    # -- traffic -------------------------------------------------------
 
     def broadcast(self, msg: PulseMessage) -> None:
         """Enqueue a pulse; mark interference with anything in flight.
@@ -127,12 +99,13 @@ class BroadcastMedium:
         self._queue.append(entry)
         self.stats.sent += 1
 
-    def poll_deliveries(self, now: float) -> list[Delivery]:
-        """Drain every pulse due by `now`, in delivery order.
+    def poll_deliveries(self, now: float) -> list[PulseMessage]:
+        """Drain every pulse due by `now`; return the survivors in
+        delivery order (delivery time, then sender id).
 
         Collided pulses are dropped (and counted) under drop_all, or
-        passed through under deliver_all. Recipients are the agents
-        alive at the delivery instant, minus the sender.
+        passed through under deliver_all. A surviving pulse counts as
+        delivered whether or not anyone hears it.
         """
         if now < self._last_poll:
             raise ValueError(f"poll at t={now} is before t={self._last_poll}")
@@ -140,25 +113,11 @@ class BroadcastMedium:
         due = [e for e in self._queue if e.delivery_time <= now]
         self._queue = [e for e in self._queue if e.delivery_time > now]
         due.sort(key=lambda e: (e.delivery_time, e.msg.sender))
-        out: list[Delivery] = []
-        for entry in due:
-            if entry.collided and self.collision_policy == "drop_all":
-                self.stats.dropped += 1
-                continue
-            recipients = tuple(
-                aid
-                for aid in self._alive_at(entry.delivery_time)
-                if aid != entry.msg.sender
-            )
-            self.stats.delivered += 1
-            out.append(Delivery(recipients, entry.msg))
+        drop = self.collision_policy == "drop_all"
+        out = [e.msg for e in due if not (drop and e.collided)]
+        self.stats.dropped += len(due) - len(out)
+        self.stats.delivered += len(out)
         return out
-
-    # -- accounting ----------------------------------------------------
-
-    def collision_count(self) -> int:
-        """Messages ever marked collided since construction."""
-        return self.stats.collisions
 
     def in_flight(self) -> int:
         return len(self._queue)

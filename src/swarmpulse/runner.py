@@ -245,7 +245,7 @@ def _run_drone(cfg: ScenarioConfig, name: str) -> RunResult:
     def on_sample(eng: DroneSwarmEngine) -> None:
         ids, theta, hidden, pos, vel = eng.snapshot()
         rec.record(eng.t, ids, theta, hidden=hidden, pos=pos, vel=vel,
-                   collisions=eng.medium.collision_count())
+                   collisions=eng.medium.stats.collisions)
 
     engine.run(cfg.duration, sample_every=_sample_every(cfg), on_sample=on_sample)
 

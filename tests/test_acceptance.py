@@ -193,9 +193,9 @@ def test_c05_dual_phase_medium_access():
     cfg = parse_config(scenario_text("quincunx_ma10"))
     engine = build_drone_engine(cfg)
     engine.run(20.0)
-    collisions_at_settle = engine.medium.collision_count()
+    collisions_at_settle = engine.medium.stats.collisions
     engine.run(60.0)
-    new_collisions = engine.medium.collision_count() - collisions_at_settle
+    new_collisions = engine.medium.stats.collisions - collisions_at_settle
 
     per_agent = {}
     for t, aid in engine.fire_log:
@@ -209,7 +209,7 @@ def test_c05_dual_phase_medium_access():
     for d in control.alive_drones():
         d.hidden = 1.0
     control.run(60.0)
-    control_collisions = control.medium.collision_count()
+    control_collisions = control.medium.stats.collisions
 
     ok = new_collisions == 0 and jain > 0.9 and control_collisions >= 1
     _report(5, "dual-phase medium access", ok,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from swarmpulse import drone as drone_mod
 from swarmpulse import metrics
 from swarmpulse.config import parse_config
 from swarmpulse.drone import (
@@ -171,14 +172,14 @@ class TestBroadcastStaggering:
     @staticmethod
     def _window(engine, t0, t1):
         engine.run(t0)
-        before = engine.medium.collision_count()
+        before = engine.medium.stats.collisions
         engine.run(t1)
         per_agent = {}
         for t, aid in engine.fire_log:
             if t0 < t <= t1:
                 per_agent.setdefault(aid, []).append(t)
         _, _, jain = metrics.broadcast_spacing_stats(per_agent.values())
-        return engine.medium.collision_count() - before, jain
+        return engine.medium.stats.collisions - before, jain
 
     def test_bundled_quincunx_stays_collision_free(self):
         engine = build_drone_engine(parse_config(scenario_text("quincunx_ma10")))
@@ -388,6 +389,42 @@ class TestEvents:
             eng.run(0.1)
         assert exc.value.agent_id == 1
         assert exc.value.tick >= 0
+
+
+class TestRoster:
+    """The engine decides who hears a pulse: every living drone but its
+    sender, at the delivery instant."""
+
+    @pytest.fixture
+    def heard(self, monkeypatch):
+        """(receiver id, sender id) of every reception, in order."""
+        log = []
+        receive = drone_mod.on_pulse_received
+        monkeypatch.setattr(drone_mod, "on_pulse_received",
+                            lambda d, p, *a: log.append((d.id, p.sender)) or receive(d, p, *a))
+        return log
+
+    def engine_with_pulse_in_flight(self, n):
+        # Drone 0 fires at t = 0.011 and its pulse lands at 0.061; the
+        # others' hidden phases start at 0, so they fire only at t = 1.
+        eng = build_engine(n=0, airtime=0.05)
+        for i in range(n):
+            eng.add_drone(vec(float(i), 0.0), hidden=TAU * (1.0 - 0.011) if i == 0 else 0.0)
+        eng.run(0.03)
+        assert eng.fire_log == [(pytest.approx(0.011), 0)] and eng.medium.in_flight() == 1
+        return eng
+
+    def test_spawned_drone_hears_pulse_in_flight(self, heard):
+        eng = self.engine_with_pulse_in_flight(2)
+        eng.add_drone(vec(0.0, 1.0))
+        eng.run(0.1)
+        assert heard == [(1, 0), (2, 0)]
+
+    def test_departed_senders_pulse_reaches_every_living_drone(self, heard):
+        eng = self.engine_with_pulse_in_flight(3)
+        eng.despawn(0)
+        eng.run(0.1)
+        assert heard == [(1, 0), (2, 0)]
 
 
 class TestHandleWrites:
