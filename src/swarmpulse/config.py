@@ -39,6 +39,12 @@ from .smoothing import MODES as SMOOTHING_MODES
 MODELS = ("pulse", "reference_swarmalator", "drone")
 FORMATIONS = ("quincunx", "random", "line", "ring")
 
+# The most phase wraps a rate may make in one tick. Each drone
+# hidden-phase wrap is one broadcast, and each pulse-model wrap one
+# firing pass, so the work per tick grows with this; the pinned
+# several-wraps-per-tick drone run makes 1.6.
+MAX_WRAPS_PER_TICK = 16.0
+
 QUINCUNX_POSITIONS = (
     (0.5, 0.5),
     (0.5, -0.5),
@@ -244,6 +250,23 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad(f"medium.collision_policy must be one of {COLLISION_POLICIES}")
     if cfg.drone_k_hidden > 0.0:
         bad(f"drone.k_hidden must be <= 0, got {cfg.drone_k_hidden}")
+    for key, value in (("drone.a", cfg.drone_a), ("drone.b", cfg.drone_b),
+                       ("drone.speed_cap", cfg.drone_speed_cap), ("ref.a", cfg.ref_a),
+                       ("ref.b", cfg.ref_b), ("pulse.rate", cfg.pulse_rate)):
+        if value <= 0.0:
+            bad(f"{key} must be > 0, got {value}")
+    if cfg.ref_freq_var < 0.0:
+        bad(f"ref.freq_var must be >= 0, got {cfg.ref_freq_var}")
+    if cfg.pulse_k < 0.0:
+        bad(f"pulse.k must be >= 0, got {cfg.pulse_k}")
+    if cfg.model == "drone":
+        wraps = (cfg.drone_omega + cfg.drone_freq_var) * cfg.dt / (2.0 * math.pi)
+        if wraps > MAX_WRAPS_PER_TICK:
+            bad(f"drone.omega + drone.freq_var make {wraps:.3g} hidden-phase wraps "
+                f"per tick of dt = {cfg.dt}; at most {MAX_WRAPS_PER_TICK:g} are allowed")
+    if cfg.model == "pulse" and cfg.pulse_rate * cfg.dt > MAX_WRAPS_PER_TICK:
+        bad(f"pulse.rate makes {cfg.pulse_rate * cfg.dt:.3g} phase wraps per tick "
+            f"of dt = {cfg.dt}; at most {MAX_WRAPS_PER_TICK:g} are allowed")
     if cfg.model == "reference_swarmalator" and cfg.n < 2:
         bad("reference model needs at least 2 agents")
     for ev in cfg.events:

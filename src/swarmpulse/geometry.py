@@ -94,23 +94,6 @@ def vec(x: float, y: float) -> np.ndarray:
     return np.array([x, y], dtype=np.float64)
 
 
-def norm(v: np.ndarray) -> float:
-    """Euclidean length of a 2D vector."""
-    return float(math.hypot(v[0], v[1]))
-
-
-def unit(v: np.ndarray) -> np.ndarray:
-    """Unit vector along v.
-
-    Raises SingularityError when |v| <= EPSILON_DIST; the caller decides
-    the fallback (normally a random unit vector from the scenario RNG).
-    """
-    n = norm(v)
-    if n <= EPSILON_DIST:
-        raise SingularityError(f"cannot normalise near-zero vector (|v|={n:g})")
-    return v / n
-
-
 def random_unit(rng: np.random.Generator) -> np.ndarray:
     """Deterministic pseudo-random unit vector from the scenario RNG.
 

@@ -290,6 +290,46 @@ class TestCli:
         assert f"line {line}: {key} must be finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "scenario, line",
+        [
+            ("quincunx_ma10", "drone.a = -1"),
+            ("quincunx_ma10", "drone.b = 0"),
+            ("quincunx_ma10", "drone.speed_cap = 0"),
+            ("table1_static_sync", "ref.a = -1"),
+            ("table1_static_sync", "ref.b = 0"),
+            ("table1_static_sync", "ref.freq_var = -1"),
+            ("pulse_n9", "pulse.rate = 0"),
+            ("pulse_n9", "pulse.k = -0.1"),
+        ],
+    )
+    def test_out_of_range_constant_exits_2_naming_key(self, tmp_path, capsys, scenario, line):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(scenario_text(scenario) + f"duration = 0.1\n{line}\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, line",
+        [("quincunx_ma10", "drone.omega = 1e9"), ("pulse_n9", "pulse.rate = 1e7")],
+    )
+    def test_too_many_wraps_per_tick_exits_2_without_stepping(
+        self, tmp_path, monkeypatch, capsys, scenario, line
+    ):
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr("swarmpulse.engine.DroneSwarmEngine.step", no_step)
+        monkeypatch.setattr("swarmpulse.pulse.PulsePopulation.advance", no_step)
+        cfg = tmp_path / "wraps.cfg"
+        cfg.write_text(scenario_text(scenario) + f"duration = 0.1\n{line}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert line.split()[0] in err and "wraps per tick" in err
+        assert not out.exists()
+
+
 class TestCompare:
     def _run_mini(self, tmp_path, name, text):
         cfg = tmp_path / f"{name}.cfg"

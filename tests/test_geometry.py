@@ -1,4 +1,4 @@
-"""Circular arithmetic, vector helpers, and the seeded RNG."""
+"""Circular arithmetic and the seeded RNG."""
 
 import math
 
@@ -8,14 +8,10 @@ from hypothesis import given, strategies as st
 
 from swarmpulse.geometry import (
     TAU,
-    SingularityError,
     circ_diff,
-    norm,
     random_unit,
     seeded_rng,
-    unit,
     unit_phase_dist,
-    vec,
     wrap_angle,
     wrap_angle_array,
     wrap_unit_phase,
@@ -95,32 +91,6 @@ class TestUnitPhase:
         assert unit_phase_dist(0.4, 0.4) == 0.0
 
 
-class TestVectors:
-    def test_norm_pythagoras(self):
-        assert norm(vec(3.0, 4.0)) == pytest.approx(5.0)
-
-    def test_unit_identity(self):
-        u = unit(vec(1.0, 0.0))
-        assert u[0] == pytest.approx(1.0) and u[1] == 0.0
-
-    def test_unit_of_zero_raises(self):
-        with pytest.raises(SingularityError):
-            unit(vec(0.0, 0.0))
-
-    @given(
-        st.floats(min_value=-1e3, max_value=1e3),
-        st.floats(min_value=-1e3, max_value=1e3),
-    )
-    def test_unit_reconstructs(self, x, y):
-        v = vec(x, y)
-        n = norm(v)
-        if n <= 1e-6:
-            return
-        u = unit(v)
-        assert norm(u) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(u * n, v, rtol=1e-9)
-
-
 class TestSeededRng:
     def test_same_seed_same_stream(self):
         a = seeded_rng(0).uniform(0.0, 1.0, 100)
@@ -139,4 +109,4 @@ class TestSeededRng:
     def test_random_unit_is_unit(self):
         rng = seeded_rng(4)
         for _ in range(50):
-            assert norm(random_unit(rng)) == pytest.approx(1.0, abs=1e-12)
+            assert math.hypot(*random_unit(rng)) == pytest.approx(1.0, abs=1e-12)
