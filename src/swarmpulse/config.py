@@ -255,10 +255,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
                        ("ref.b", cfg.ref_b), ("pulse.rate", cfg.pulse_rate)):
         if value <= 0.0:
             bad(f"{key} must be > 0, got {value}")
-    if cfg.ref_freq_var < 0.0:
-        bad(f"ref.freq_var must be >= 0, got {cfg.ref_freq_var}")
-    if cfg.pulse_k < 0.0:
-        bad(f"pulse.k must be >= 0, got {cfg.pulse_k}")
+    for key, value in (("drone.freq_var", cfg.drone_freq_var),
+                       ("ref.freq_var", cfg.ref_freq_var), ("pulse.k", cfg.pulse_k)):
+        if value < 0.0:
+            bad(f"{key} must be >= 0, got {value}")
     if cfg.model == "drone":
         wraps = (cfg.drone_omega + cfg.drone_freq_var) * cfg.dt / (2.0 * math.pi)
         if wraps > MAX_WRAPS_PER_TICK:

@@ -296,6 +296,9 @@ class TestCli:
             ("quincunx_ma10", "drone.a = -1"),
             ("quincunx_ma10", "drone.b = 0"),
             ("quincunx_ma10", "drone.speed_cap = 0"),
+            # A negative spread would hide a large drone.omega from the
+            # wraps-per-tick cap: spawn reads it as no spread.
+            ("quincunx_ma10", "drone.freq_var = -1"),
             ("table1_static_sync", "ref.a = -1"),
             ("table1_static_sync", "ref.b = 0"),
             ("table1_static_sync", "ref.freq_var = -1"),
