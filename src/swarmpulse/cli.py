@@ -8,12 +8,15 @@ Subcommands::
     swarmpulse compare <metrics_a.csv> <metrics_b.csv> --metric <col> --tol <x>
 
 Exit codes: 0 success (compare: deltas within tolerance), 1 comparison
-exceeded tolerance, 2 invalid config/arguments, 3 numeric blow-up.
+exceeded tolerance, 2 invalid config/arguments (including a trace that
+cannot be read as a metrics trace and an output directory that cannot
+be written), 3 numeric blow-up.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -86,6 +89,9 @@ def _cmd_run(args) -> int:
     except ScenarioEventError as exc:
         print(f"invalid scenario event: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write traces: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     final = result.summary["final"]
     print(f"scenario {name}: {result.summary['agents_final']} agents, "
@@ -111,11 +117,15 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        print(f"compare error: --tol must be a finite number >= 0, got {args.tol}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         report = compare_metrics(
             Path(args.trace_a), Path(args.trace_b), args.metric, args.tol
         )
-    except (TraceSchemaError, FileNotFoundError) as exc:
+    except (TraceSchemaError, OSError) as exc:
         print(f"compare error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(report.render())

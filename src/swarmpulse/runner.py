@@ -6,17 +6,24 @@ same config and seed always produce byte-identical trace files.
 
 All three models share one sample path: a short driver per model steps
 it and hands each sample, as it is taken, to `_Recorder.record`, which
-appends the phase, position and metric rows; `_Recorder.finish` builds
-the summary from the last metric row plus the driver's add-ons (pulse:
+appends it to columns (the sample's time and agent count, flat ids,
+phases and hidden phases, the position and velocity arrays) and computes
+its metric row. `_Recorder.finish` joins the columns into one
+`traces.TraceTable` per trace file, which `RunResult` exposes as
+`phase_rows`, `position_rows` and `metric_rows`: views that give `len()`
+without building rows and yield row tuples when iterated. It builds the
+summary from the last metric row plus the driver's add-ons (pulse:
 `fires_total`; reference: `max_speed`, `rainbow_correlation`; drone:
-`max_speed`, `medium`, `broadcasts`).
+`max_speed`, `medium`, `broadcasts`). `run_config` writes the tables
+through `write_csv` and `write_summary`, looked up as this module's
+globals on every call.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +41,7 @@ from .traces import (
     METRICS_HEADER,
     PHASE_HEADER,
     POSITION_HEADER,
+    TraceTable,
     write_csv,
     write_summary,
 )
@@ -45,9 +53,9 @@ DEFAULT_OUT = "runs"
 class RunResult:
     name: str
     cfg: ScenarioConfig
-    phase_rows: list[tuple]
-    position_rows: list[tuple]
-    metric_rows: list[tuple]
+    phase_rows: TraceTable
+    position_rows: TraceTable
+    metric_rows: TraceTable
     fire_log: list[tuple[float, int]]
     summary: dict
     paths: dict[str, Path] | None = None
@@ -103,7 +111,7 @@ def run_config(
 
 
 class _Recorder:
-    """Trace rows and metric rows of one run, built one sample at a time.
+    """The trace columns and metric rows of one run, built one sample at a time.
 
     `phase_scale` converts the phase column to radians for the metrics:
     1 for models that trace radians, TAU for the pulse model's unit phases.
@@ -113,26 +121,31 @@ class _Recorder:
         self.cfg = cfg
         self.name = name
         self.phase_scale = phase_scale
-        self.phase_rows: list[tuple] = []
-        self.position_rows: list[tuple] = []
+        self.times: list[float] = []
+        self.counts: list[int] = []
+        self.ids = array("q")
+        self.theta = array("d")
+        self.hidden = array("d")
+        self.pos: list[np.ndarray] = []
+        self.vel: list[np.ndarray] = []
         self.metric_rows: list[tuple] = []
-        self.agents = 0
 
     def record(self, t, ids, theta, hidden=None, pos=None, vel=None, collisions=0) -> None:
-        """Append the rows of one sample; `ids`, `theta`, `hidden`, `pos`
-        and `vel` run over the same agents in the same order."""
-        self.agents = len(ids)
-        self.phase_rows.extend(
-            zip(repeat(t), ids, theta, repeat(None) if hidden is None else hidden)
-        )
+        """Append one sample; `ids`, `theta`, `hidden`, `pos` and `vel` run
+        over the same agents in the same order, and `pos` and `vel` are
+        (n, 2) arrays that are not written to afterwards."""
+        self.times.append(t)
+        self.counts.append(len(ids))
+        self.ids.extend(ids)
+        self.theta.extend(theta)
+        if hidden is not None:
+            self.hidden.extend(hidden)
         if self.phase_scale != 1.0:
             theta = [p * self.phase_scale for p in theta]
         spacing = (None,) * 4
         if pos is not None:
-            self.position_rows.extend(
-                (t, i, float(p[0]), float(p[1]), float(v[0]), float(v[1]))
-                for i, p, v in zip(ids, pos, vel)
-            )
+            self.pos.append(pos)
+            self.vel.append(vel)
             if len(ids) >= 2:
                 s = metrics_mod.pairwise_spacing(pos, t)
                 spacing = (s.am, s.gm, s.min, s.max)
@@ -144,7 +157,24 @@ class _Recorder:
     def finish(self, fire_log=(), final=None, **extra) -> RunResult:
         """The run's result; `final` extends the summary's `final` block
         and `extra` adds top-level summary keys."""
-        keys = METRICS_HEADER[:7] if self.position_rows else METRICS_HEADER[:3]
+        times, counts = self.times, self.counts
+        ids = np.frombuffer(self.ids, dtype=np.int64)
+        phases = TraceTable(times, counts, [
+            ids, np.frombuffer(self.theta), np.frombuffer(self.hidden) if self.hidden else None,
+        ])
+        if self.pos:
+            pos, vel = np.concatenate(self.pos), np.concatenate(self.vel)
+            positions = TraceTable(times, counts, [ids, *pos.T, *vel.T])
+        else:
+            positions = TraceTable(times, np.zeros(len(times)), [None] * 5)
+        _, order, diff, *spacing, collisions = zip(*self.metric_rows)
+        metrics = TraceTable(times, np.ones(len(times)), [
+            np.array(order), np.array(diff),
+            *(np.array(c, dtype=np.float64) if self.pos else None for c in spacing),
+            np.array(collisions, dtype=np.int64),
+        ])
+
+        keys = METRICS_HEADER[:7] if self.pos else METRICS_HEADER[:3]
         cfg = self.cfg
         summary = {
             "scenario": self.name,
@@ -152,12 +182,11 @@ class _Recorder:
             "seed": cfg.seed,
             "duration": cfg.duration,
             "dt": cfg.dt,
-            "agents_final": self.agents,
+            "agents_final": counts[-1],
             "final": {**dict(zip(keys, self.metric_rows[-1])), **(final or {})},
             **extra,
         }
-        return RunResult(self.name, cfg, self.phase_rows, self.position_rows,
-                         self.metric_rows, list(fire_log), summary)
+        return RunResult(self.name, cfg, phases, positions, metrics, list(fire_log), summary)
 
 
 # -- pulse ---------------------------------------------------------------

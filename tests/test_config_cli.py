@@ -214,6 +214,15 @@ class TestCli:
             hb = hashlib.sha256((tmp_path / "b" / "mini" / f).read_bytes()).hexdigest()
             assert ha == hb, f
 
+    def test_out_naming_an_existing_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "mini.cfg"
+        cfg.write_text(MINI_PULSE)
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        assert cli.main(["run", str(cfg), "--out", str(blocker)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(blocker) in err
+
     def test_despawn_of_unknown_agent_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad_event.cfg"
         cfg.write_text(MINI_DRONE + "scenario.events = 1.0 despawn 42\n")
@@ -360,6 +369,34 @@ class TestCompare:
         bogus = tmp_path / "bogus.csv"
         bogus.write_text("a,b,c\n1,2,3\n")
         assert cli.main(["compare", str(m), str(bogus), "--metric", "am", "--tol", "0"]) == 2
+
+    def test_non_numeric_cell_exits_2(self, tmp_path, capsys):
+        m = self._run_mini(tmp_path, "minin", MINI_DRONE)
+        lines = m.read_text().splitlines()
+        lines[2] = "abc" + lines[2][lines[2].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["compare", str(m), str(bad), "--metric", "order_param", "--tol", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "line 3" in err and "abc" in err
+
+    def test_directory_as_trace_exits_2(self, tmp_path, capsys):
+        m = self._run_mini(tmp_path, "minidir", MINI_DRONE)
+        capsys.readouterr()
+        assert cli.main(["compare", str(m), str(tmp_path), "--metric", "order_param",
+                         "--tol", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(tmp_path) in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, tol):
+        m = self._run_mini(tmp_path, "minitol", MINI_DRONE)
+        capsys.readouterr()
+        assert cli.main(["compare", str(m), str(m), "--metric", "order_param", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and "--tol" in captured.err
+        assert "FAIL" not in captured.out
 
     def test_report_shows_final_third_stability(self, tmp_path):
         a = self._run_mini(tmp_path, "wa", MINI_DRONE)
