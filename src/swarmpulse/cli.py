@@ -61,7 +61,12 @@ def _resolve_scenario(arg: str) -> tuple[str, str]:
     """Returns (name, config text) for a bundled name or a file path."""
     path = Path(arg)
     if path.is_file():
-        return path.stem, path.read_text(encoding="utf-8")
+        try:
+            return path.stem, path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError([(None, f"{path}: not a UTF-8 text file")]) from None
+        except OSError as exc:
+            raise ConfigError([(None, f"{path}: cannot read ({exc.strerror})")]) from None
     try:
         return arg, scenario_text(arg)
     except UnknownScenario:

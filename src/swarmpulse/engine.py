@@ -57,7 +57,8 @@ from .smoothing import IdentityFilter
 
 
 class ScenarioEventError(ValueError):
-    """A timed event referenced an agent that does not exist."""
+    """A timed event referenced an agent that does not exist, or would
+    despawn the last living drone."""
 
 
 @dataclass
@@ -260,6 +261,10 @@ class DroneSwarmEngine:
             if int(target) not in self.drones:
                 raise ScenarioEventError(
                     f"despawn at t={event.time} names unknown agent {target}"
+                )
+            if [d.id for d in self._alive] == [int(target)]:
+                raise ScenarioEventError(
+                    f"despawn at t={event.time} of agent {target} would leave no drone alive"
                 )
             self.despawn(int(target))
         else:

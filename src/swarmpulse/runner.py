@@ -6,13 +6,15 @@ same config and seed always produce byte-identical trace files.
 
 All three models share one sample path: a short driver per model steps
 it and hands each sample, as it is taken, to `_Recorder.record`, which
-appends it to columns (the sample's time and agent count, flat ids,
-phases and hidden phases, the position and velocity arrays) and computes
-its metric row. `_Recorder.finish` joins the columns into one
-`traces.TraceTable` per trace file, which `RunResult` exposes as
-`phase_rows`, `position_rows` and `metric_rows`: views that give `len()`
-without building rows and yield row tuples when iterated. It builds the
-summary from the last metric row plus the driver's add-ons (pulse:
+only appends it to columns (the sample's time and agent count, flat ids,
+phases and hidden phases, the position and velocity arrays, the
+cumulative collision count). `_Recorder.finish` computes every sample's
+observables in one `metrics.sample_metrics` call over those columns and
+joins the columns into one `traces.TraceTable` per trace file, which
+`RunResult` exposes as `phase_rows`, `position_rows` and `metric_rows`:
+views that give `len()` without building rows and yield row tuples when
+iterated. It builds the summary from the last sample's observables
+plus the driver's add-ons (pulse:
 `fires_total`; reference: `max_speed`, `rainbow_correlation`; drone:
 `max_speed`, `medium`, `broadcasts`). `run_config` writes the tables
 through `write_csv` and `write_summary`, looked up as this module's
@@ -111,7 +113,7 @@ def run_config(
 
 
 class _Recorder:
-    """The trace columns and metric rows of one run, built one sample at a time.
+    """The trace columns of one run, appended one sample at a time.
 
     `phase_scale` converts the phase column to radians for the metrics:
     1 for models that trace radians, TAU for the pulse model's unit phases.
@@ -128,7 +130,7 @@ class _Recorder:
         self.hidden = array("d")
         self.pos: list[np.ndarray] = []
         self.vel: list[np.ndarray] = []
-        self.metric_rows: list[tuple] = []
+        self.collisions = array("q")
 
     def record(self, t, ids, theta, hidden=None, pos=None, vel=None, collisions=0) -> None:
         """Append one sample; `ids`, `theta`, `hidden`, `pos` and `vel` run
@@ -140,41 +142,33 @@ class _Recorder:
         self.theta.extend(theta)
         if hidden is not None:
             self.hidden.extend(hidden)
-        if self.phase_scale != 1.0:
-            theta = [p * self.phase_scale for p in theta]
-        spacing = (None,) * 4
         if pos is not None:
             self.pos.append(pos)
             self.vel.append(vel)
-            if len(ids) >= 2:
-                s = metrics_mod.pairwise_spacing(pos, t)
-                spacing = (s.am, s.gm, s.min, s.max)
-        self.metric_rows.append((
-            t, metrics_mod.order_parameter(theta), metrics_mod.max_pair_diff(theta),
-            *spacing, collisions,
-        ))
+        self.collisions.append(collisions)
 
     def finish(self, fire_log=(), final=None, **extra) -> RunResult:
         """The run's result; `final` extends the summary's `final` block
         and `extra` adds top-level summary keys."""
         times, counts = self.times, self.counts
         ids = np.frombuffer(self.ids, dtype=np.int64)
+        theta = np.frombuffer(self.theta)
         phases = TraceTable(times, counts, [
-            ids, np.frombuffer(self.theta), np.frombuffer(self.hidden) if self.hidden else None,
+            ids, theta, np.frombuffer(self.hidden) if self.hidden else None,
         ])
+        pos = None
         if self.pos:
             pos, vel = np.concatenate(self.pos), np.concatenate(self.vel)
             positions = TraceTable(times, counts, [ids, *pos.T, *vel.T])
         else:
             positions = TraceTable(times, np.zeros(len(times)), [None] * 5)
-        _, order, diff, *spacing, collisions = zip(*self.metric_rows)
+        observed = metrics_mod.sample_metrics(counts, theta * self.phase_scale, pos)
         metrics = TraceTable(times, np.ones(len(times)), [
-            np.array(order), np.array(diff),
-            *(np.array(c, dtype=np.float64) if self.pos else None for c in spacing),
-            np.array(collisions, dtype=np.int64),
+            *(observed.get(key) for key in METRICS_HEADER[1:7]),
+            np.frombuffer(self.collisions, dtype=np.int64),
         ])
+        last = {key: float(col[-1]) for key, col in observed.items()}
 
-        keys = METRICS_HEADER[:7] if self.pos else METRICS_HEADER[:3]
         cfg = self.cfg
         summary = {
             "scenario": self.name,
@@ -183,7 +177,11 @@ class _Recorder:
             "duration": cfg.duration,
             "dt": cfg.dt,
             "agents_final": counts[-1],
-            "final": {**dict(zip(keys, self.metric_rows[-1])), **(final or {})},
+            "final": {
+                "t": times[-1],
+                **{key: None if v != v else v for key, v in last.items()},
+                **(final or {}),
+            },
             **extra,
         }
         return RunResult(self.name, cfg, phases, positions, metrics, list(fire_log), summary)

@@ -229,6 +229,40 @@ class TestCli:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "unknown agent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["0", "nearest_centroid"])
+    def test_despawn_of_last_drone_exits_2_writing_nothing(self, tmp_path, capsys, target):
+        text = scenario_text("dropout_mid").replace(
+            "scenario.events = 30.0 despawn nearest_centroid",
+            f"scenario.events = 0.5 despawn {target}",
+        )
+        cfg = tmp_path / "last_drone.cfg"
+        cfg.write_text(text + "scenario.n = 1\nscenario.formation = random\nduration = 1.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "t=0.5" in err and "no drone alive" in err
+        assert not out.exists()
+
+    def test_config_that_is_not_utf8_exits_2_naming_path(self, tmp_path, capsys):
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_bytes(bytes(range(0x80, 0xA8)))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: not a UTF-8 text file" in err and "Traceback" not in err
+
+    def test_unreadable_config_exits_2_naming_path(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "locked.cfg"
+        cfg.write_text(MINI_PULSE)
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: cannot read (Permission denied)" in err
+        assert not (tmp_path / "out").exists()
+
     def test_blowup_exit_code(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "mini.cfg"
         cfg.write_text(MINI_PULSE)

@@ -1,13 +1,18 @@
 """Observables: synchrony, spacing, rainbow correlation, formation, gaps."""
 
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmpulse import metrics, runner
+from swarmpulse.config import parse_config
 from swarmpulse.geometry import TAU, circ_diff, seeded_rng
 from swarmpulse.metrics import (
+    CHUNK_PAIRS,
     broadcast_spacing_stats,
     formation_error,
     max_pair_diff,
@@ -15,7 +20,9 @@ from swarmpulse.metrics import (
     order_parameter,
     pairwise_spacing,
     rainbow_correlation,
+    sample_metrics,
 )
+from swarmpulse.scenarios import scenario_text
 
 
 def regular_polygon(n, radius=1.0, phase=0.0, centre=(0.0, 0.0)):
@@ -129,6 +136,150 @@ class TestPairObservablesMatchLoop:
     def test_max_pair_diff_of_fewer_than_two_is_zero(self):
         assert max_pair_diff([]) == 0.0
         assert max_pair_diff([2.0]) == 0.0
+
+
+def per_sample(theta, pos):
+    """One sample's observables by the per-sample formulas the runner
+    used before the batched kernel: order_param, max_pair_diff, am, gm,
+    min, max (NaN spacing below two agents)."""
+    thetas = np.asarray(theta, dtype=np.float64)
+    order = float(abs(np.mean(np.exp(1j * thetas))))
+    diff = 0.0
+    if thetas.size >= 2:
+        i, j = np.triu_indices(thetas.size, k=1)
+        d = np.mod(thetas[i] - thetas[j], TAU)
+        diff = float(np.minimum(d, TAU - d).max())
+    spacing = [math.nan] * 4
+    if len(pos) >= 2:
+        i, j = np.triu_indices(len(pos), k=1)
+        offsets = pos[j] - pos[i]
+        dist = np.sqrt(np.vecdot(offsets, offsets))
+        gm = 0.0 if np.any(dist == 0.0) else float(np.exp(np.mean(np.log(dist))))
+        spacing = [float(np.mean(dist)), gm, float(np.min(dist)), float(np.max(dist))]
+    return [order, diff, *spacing]
+
+
+@st.composite
+def runs(draw):
+    """A run's columns: ragged agent counts in [1, 80] as runs of equal
+    counts (a spawn or despawn starts a new run, and a count may come
+    back), flat phases in radians or as the pulse model's unit phases,
+    and flat positions at one scale, with the first two agents of some
+    samples coincident."""
+    counts = []
+    for n, repeat in draw(st.lists(st.tuples(st.integers(1, 80), st.integers(1, 40)),
+                                   min_size=1, max_size=6)):
+        counts += [n] * repeat
+    rows = sum(counts)
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    unit_phases = draw(st.booleans())
+    theta = rng.uniform(0.0, 1.0, rows) if unit_phases else rng.uniform(-TAU, 2 * TAU, rows)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    pos = rng.uniform(-1e3, 1e3, 2) + scale * rng.uniform(-1.0, 1.0, (rows, 2))
+    starts = np.cumsum(counts) - counts
+    for k in draw(st.lists(st.integers(0, len(counts) - 1), max_size=3)):
+        if counts[k] >= 2:
+            pos[starts[k] + 1] = pos[starts[k]]
+    return counts, theta, unit_phases, pos
+
+
+class TestSampleMetrics:
+    """The batched kernel over a run equals a loop of the per-sample formulas."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs())
+    def test_batched_equals_per_sample_bit_for_bit(self, run):
+        counts, theta, unit_phases, pos = run
+        scale = TAU if unit_phases else 1.0
+        got = sample_metrics(counts, theta * scale, pos)
+        keys = ["order_param", "max_pair_diff", "am", "gm", "min", "max"]
+        start = 0
+        for k, n in enumerate(counts):
+            sample = theta[start:start + n].tolist()
+            if unit_phases:  # the pulse model's unit phases, as the runner scaled them
+                sample = [p * TAU for p in sample]
+            want = np.array(per_sample(sample, pos[start:start + n]))
+            have = np.array([got[key][k] for key in keys])
+            assert have.tobytes() == want.tobytes(), (k, n, have, want)
+            start += n
+
+    def test_columns_follow_their_inputs(self):
+        counts = [1, 3, 2]
+        assert set(sample_metrics(counts, theta=np.zeros(6))) == {"order_param", "max_pair_diff"}
+        assert set(sample_metrics(counts, pos=np.zeros((6, 2)))) == {"am", "gm", "min", "max"}
+        spacing = sample_metrics(counts, pos=np.zeros((6, 2)))
+        assert np.isnan(spacing["am"][0]) and spacing["gm"][1:].tolist() == [0.0, 0.0]
+
+    def test_one_sample_calls_keep_their_types(self):
+        assert type(order_parameter([0.5, 1.0])) is float
+        assert type(max_pair_diff([0.5, 1.0])) is float
+        s = pairwise_spacing(np.array([[0.0, 0.0], [3.0, 4.0]]), t=2.0)
+        assert [type(v) for v in (s.am, s.gm, s.min, s.max)] == [float] * 4
+        assert (s.t, s.am) == (2.0, 5.0)
+
+
+# Written down before measuring: the kernel's outputs are six float64
+# columns (48 bytes a sample) and its index arrays a few int64s a
+# sample, so 100 bytes a sample covers everything that grows with the
+# run. A block of CHUNK_PAIRS = 4096 pairs needs well under 1 MiB of
+# temporaries (its pair offsets are 64 kB). A pass over a whole
+# agent-count group at once would hold 15000 * 190 pair offsets, 43 MiB.
+SAMPLE_BYTES_BAR = 100
+BLOCK_BYTES_BAR = 2**20
+
+
+def test_sample_metrics_memory_is_bounded_by_the_block():
+    samples, n = 15_000, 20  # table1_static_sync: 300 s at 50 Hz
+    rng = seeded_rng(0)
+    theta = rng.uniform(0.0, TAU, samples * n)
+    pos = rng.uniform(-1.0, 1.0, (samples * n, 2))
+    tracemalloc.start()
+    try:
+        sample_metrics(np.full(samples, n), theta, pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bar = SAMPLE_BYTES_BAR * samples + BLOCK_BYTES_BAR
+    assert peak < bar, f"peak {peak / 2**20:.2f} MiB, bar {bar / 2**20:.2f} MiB"
+
+
+SHORT_RUNS = {
+    # five drones, one of them despawned at 1 s: two agent-count groups
+    "dropout": scenario_text("dropout_mid").replace("30.0 despawn", "1.0 despawn")
+    + "duration = 2.0\n",
+    # twenty reference agents, 501 samples: many blocks in one group
+    "reference": scenario_text("table1_static_sync") + "duration = 10.0\n",
+    "pulse": scenario_text("pulse_n9") + "duration = 5.0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_RUNS))
+def test_a_run_computes_its_observables_once_per_group_and_block(name, monkeypatch):
+    blocks = []
+
+    def spy(out, block, *args):
+        blocks.append(block.size)
+        return block_metrics(out, block, *args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-sample observable was computed during the run")
+
+    block_metrics = metrics._block_metrics
+    monkeypatch.setattr(metrics, "_block_metrics", spy)
+    for fn in ("order_parameter", "max_pair_diff", "pairwise_spacing"):
+        monkeypatch.setattr(metrics, fn, refuse)
+    result = runner.run_config(parse_config(SHORT_RUNS[name]), write=False)
+
+    samples = len(result.metric_rows)
+    groups = Counter(Counter(row[0] for row in result.phase_rows).values())
+    expected = 0
+    for n, count in groups.items():
+        per_block = max(1, CHUNK_PAIRS // max(n * (n - 1) // 2, n))
+        expected += -(-count // per_block)
+    assert sum(blocks) == samples
+    assert len(blocks) == expected < samples
+    if name == "dropout":
+        assert len(groups) == 2
 
 
 class TestRainbowCorrelation:
