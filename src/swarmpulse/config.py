@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ScenarioEvent
+from .engine import _COORD_LIMIT, ScenarioEvent
 from .medium import COLLISION_POLICIES
 from .smoothing import MODES as SMOOTHING_MODES
 
@@ -267,11 +267,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.model == "pulse" and cfg.pulse_rate * cfg.dt > MAX_WRAPS_PER_TICK:
         bad(f"pulse.rate makes {cfg.pulse_rate * cfg.dt:.3g} phase wraps per tick "
             f"of dt = {cfg.dt}; at most {MAX_WRAPS_PER_TICK:g} are allowed")
-    if cfg.model == "reference_swarmalator" and cfg.n < 2:
-        bad("reference model needs at least 2 agents")
+    if cfg.model == "reference_swarmalator" and cfg.n < 3:
+        bad(f"ref.n must be >= 3 (the summary reports the rainbow correlation), got {cfg.n}")
     for ev in cfg.events:
         if not 0.0 <= ev.time <= cfg.duration:
             bad(f"event time {ev.time} outside run [0, {cfg.duration}]")
+        if ev.kind == "spawn" and not max(abs(c) for c in ev.pos) < _COORD_LIMIT:
+            bad(f"spawn at t={ev.time}: position {tuple(ev.pos)} must have every "
+                f"coordinate below {_COORD_LIMIT:.3g} in magnitude")
 
     if problems:
         raise ConfigError(problems)

@@ -47,10 +47,11 @@ No update ever depends on how many drones are in the swarm.
 State lives in arrays, not in per-drone objects. A `DroneArrays` holds
 one row per drone: position, held command, (theta, hidden) and
 (omega, hidden_omega). The clock and motion kernels, `advance_clock` and
-`apply_motion`, step every row at once; `on_pulse_received` updates the
-one row of its recipient on Python floats, and the smoothing filters
-take and return (x, y) pairs. A `Drone` is a handle on one row whose
-attributes read and write that row.
+`apply_motion`, step every row at once. `on_pulse_received` serves every
+recipient of one pulse in one call: it reads the rows once as Python
+floats, updates each recipient in turn, and writes the rows back once.
+The smoothing filters take and return (x, y) pairs. A `Drone` is a
+handle on one row whose attributes read and write that row.
 """
 
 from __future__ import annotations
@@ -197,44 +198,27 @@ class BroadcastDue:
     theta: float
 
 
-def movement_command(
-    delta,
-    phase_diff: float,
-    params: DroneParams,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Raw pairwise swarming command toward/away from one sender.
-
-    delta is the pair x_sender - x_receiver. For near-coincident agents
-    the direction is drawn from the scenario RNG and the distance is
-    held at the floor value; the speed cap downstream bounds the
-    resulting kick.
-    """
-    dx, dy = delta
-    d = math.hypot(dx, dy)
-    if d <= EPSILON_DIST:
-        if rng is None:
-            raise SingularityError("coincident drones and no RNG for fallback")
-        ux, uy = random_unit(rng).tolist()
-        d = EPSILON_DIST
-    else:
-        ux, uy = dx / d, dy / d
-    gain = params.a + params.j * math.cos(phase_diff)
-    scale = gain - params.b / d
-    return ux * scale, uy * scale
-
-
 def on_pulse_received(
-    me: Drone,
+    recipients: list[Drone],
     msg,
     params: DroneParams,
     rng: np.random.Generator | None = None,
 ) -> None:
-    """Apply one received pulse to this drone's row, in place.
+    """Apply one received pulse to every drone in `recipients`, in place.
 
-    Both phase kicks and the movement command are computed from the
-    pre-update state; the hidden reference defaults to 0 (pulse timing
-    implies the sender's hidden phase just wrapped).
+    The recipients are handles on rows of one `DroneArrays`, served in
+    the order given; that order fixes the order of the filter pushes
+    and of the RNG draws for coincident drones. Each recipient's phase
+    kicks and movement command come from its own pre-update state. The
+    hidden reference defaults to 0 (pulse timing implies the sender's
+    hidden phase just wrapped).
+
+    The raw command toward the sender is unit(delta) * (A + J*cos(theta
+    diff)) - B * delta / |delta|**2, delta = x_sender - x_receiver. For
+    near-coincident drones the direction is drawn from the scenario RNG
+    and the distance held at EPSILON_DIST; the speed cap bounds the
+    resulting kick. The command goes through the recipient's smoothing
+    filter, is capped at speed_cap, and is held as its velocity.
 
     The hidden kick -k_hidden * sin(psi) / (2 - cos(psi)), with
     psi = hidden - ref, pushes the hidden phase away from the sender's
@@ -242,33 +226,54 @@ def on_pulse_received(
     repels, so four or more drones spread their broadcasts evenly
     instead of condensing into antiphase pairs (see the module
     docstring).
+
+    The state is read once as Python floats and written back once, so a
+    delivery pays for two array conversions however many drones hear
+    it. Every value gets the same floating-point operations, in the
+    same order, as serving the recipients one call each would.
     """
-    if msg.sender == me.id:
-        raise ValueError(f"drone {me.id} received its own pulse")
-    state, row = me.state, me.row
-    phases = state.phases
-    theta, hidden = phases[row].tolist()
-    phase_diff = msg.theta - theta
+    if not recipients:
+        return
+    state = recipients[0].state
+    # pos, command and phases, 2n floats each; row r's pair sits at 2r.
+    values = state.values.tolist()
+    m = len(values) // 3
+    pos, command, phases = values[:m], values[m:2 * m], values[2 * m:]
+    k_visible, k_hidden, cap = params.k_visible, params.k_hidden, params.speed_cap
+    a, j, b = params.a, params.j, params.b
+    ref = 0.0 if msg.hidden is None else msg.hidden
+    sender, theta_j, (sx, sy) = msg.sender, msg.theta, msg.pos
+    sin, cos, hypot = math.sin, math.cos, math.hypot
+    for me in recipients:
+        assert me.state is state, "recipients must share one DroneArrays"
+        if me.id == sender:
+            raise ValueError(f"drone {me.id} received its own pulse")
+        i = 2 * me.row
+        theta, hidden = phases[i], phases[i + 1]
+        phase_diff = theta_j - theta
+        if k_visible != 0.0:
+            phases[i] = wrap_angle(theta + k_visible * sin(phase_diff))
+        if k_hidden != 0.0:
+            psi = hidden - ref
+            phases[i + 1] = wrap_angle(hidden - k_hidden * sin(psi) / (2.0 - cos(psi)))
 
-    if params.k_visible != 0.0:
-        phases[row, 0] = wrap_angle(theta + params.k_visible * math.sin(phase_diff))
-    if params.k_hidden != 0.0:
-        ref = 0.0 if msg.hidden is None else msg.hidden
-        psi = hidden - ref
-        phases[row, 1] = wrap_angle(
-            hidden - params.k_hidden * math.sin(psi) / (2.0 - math.cos(psi))
-        )
-
-    x, y = state.pos[row].tolist()
-    sx, sy = msg.pos
-    cx, cy = me.filter.push(movement_command((sx - x, sy - y), phase_diff, params, rng))
-    speed = math.hypot(cx, cy)
-    if speed > params.speed_cap:
-        scale = params.speed_cap / speed
-        cx, cy = cx * scale, cy * scale
-    command = state.command
-    command[row, 0] = cx
-    command[row, 1] = cy
+        dx, dy = sx - pos[i], sy - pos[i + 1]
+        d = hypot(dx, dy)
+        if d <= EPSILON_DIST:
+            if rng is None:
+                raise SingularityError("coincident drones and no RNG for fallback")
+            ux, uy = random_unit(rng).tolist()
+            d = EPSILON_DIST
+        else:
+            ux, uy = dx / d, dy / d
+        scale = a + j * cos(phase_diff) - b / d
+        cx, cy = me.filter.push((ux * scale, uy * scale))
+        speed = hypot(cx, cy)
+        if speed > cap:
+            scale = cap / speed
+            cx, cy = cx * scale, cy * scale
+        command[i], command[i + 1] = cx, cy
+    state.values[m:] = command + phases
 
 
 def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, BroadcastDue]]:
@@ -288,7 +293,7 @@ def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, BroadcastDue
     raw = phases + state.rate_dt
     due: list[tuple[int, BroadcastDue]] = []
     hidden_raw = raw[:, 1]
-    if len(raw) and hidden_raw.max() >= TAU:
+    if len(raw) and np.maximum.reduce(hidden_raw) >= TAU:
         for row in np.flatnonzero(hidden_raw >= TAU).tolist():
             theta, hidden = phases[row].tolist()
             omega, hidden_omega = state.rates[row].tolist()

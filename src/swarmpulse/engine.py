@@ -27,10 +27,13 @@ The living drones' state is one `drone.DroneArrays`, one row per drone
 in ascending id order: `pos` and `command` (n, 2), `phases` (n, 2) as
 (theta, hidden), `rates` (n, 2) as (omega, hidden_omega). It is rebuilt
 only when membership changes. Steps 1 and 3 are one array kernel each
-per tick (`drone.advance_clock`, `drone.apply_motion`); step 2 updates
-one recipient row per delivery (`drone.on_pulse_received`). Every value
-is computed by the same floating-point operations in the same order as
-a per-drone loop would, so the layout changes no output bit.
+per tick (`drone.advance_clock`, `drone.apply_motion`); step 2 is one
+`drone.on_pulse_received` call per delivered pulse, which serves all its
+recipients. Every value is computed by the same floating-point
+operations in the same order as a per-drone loop would, so the layout
+changes no output bit. A tick with nothing to deliver costs the two
+kernels, an early return from the medium and one sum of squares for the
+finiteness check.
 `engine.drones[id]` and `alive_drones()` give `drone.Drone` handles
 that read and write those rows.
 
@@ -38,7 +41,8 @@ Determinism is absolute: identical construction and dt yield identical
 trajectories, fire logs, and collision counts. State is checked every
 tick; a position, phase or command that stops being finite, or a pair
 distance or speed whose square overflows, raises NumericBlowup naming
-the tick and agent.
+the tick and agent. When only pair distances overflow, the agent named
+is the one farthest out.
 """
 
 from __future__ import annotations
@@ -80,12 +84,17 @@ class ScenarioEvent:
 # With every coordinate below this, a squared pair distance is at most
 # 8 * _COORD_LIMIT**2, half the largest float, and a squared speed less.
 _COORD_LIMIT = math.sqrt(sys.float_info.max / 16.0)
+# A state whose sum of squares is below this has every coordinate below
+# _COORD_LIMIT, with a factor of two to spare for the sum's rounding.
+_SQUARES_LIMIT = sys.float_info.max / 32.0
 
 
 def _first_bad_row(state: DroneArrays) -> int | None:
     """Row of the first drone, in id order, whose own state is not
-    finite; failing that, the first whose speed or distance to some
-    other drone overflows when squared. None when neither happens."""
+    finite; failing that, the first whose speed overflows when squared;
+    failing that, if some pair distance overflows when squared, the
+    drone farthest out (largest coordinate magnitude, lowest row on a
+    tie). None when nothing overflows."""
     finite = (
         np.isfinite(state.pos).all(axis=1)
         & np.isfinite(state.command).all(axis=1)
@@ -93,10 +102,11 @@ def _first_bad_row(state: DroneArrays) -> int | None:
     )
     if finite.all():
         with np.errstate(over="ignore"):
-            diff = state.pos[:, None, :] - state.pos[None, :, :]
-            finite = np.isfinite(np.vecdot(diff, diff)).all(axis=1) & np.isfinite(
-                np.vecdot(state.command, state.command)
-            )
+            finite = np.isfinite(np.vecdot(state.command, state.command))
+            if finite.all():
+                diff = state.pos[:, None, :] - state.pos[None, :, :]
+                if not np.isfinite(np.vecdot(diff, diff)).all():
+                    return int(np.abs(state.pos).max(axis=1).argmax())
     bad = np.flatnonzero(~finite)
     return int(bad[0]) if bad.size else None
 
@@ -220,11 +230,10 @@ class DroneSwarmEngine:
                 )
             )
 
-        receive = drone_mod.on_pulse_received
         for msg in self.medium.poll_deliveries(t1):
-            for receiver in self._alive:
-                if receiver.id != msg.sender:
-                    receive(receiver, msg, self.params, self.rng)
+            drone_mod.on_pulse_received(
+                [d for d in self._alive if d.id != msg.sender], msg, self.params, self.rng
+            )
 
         drone_mod.apply_motion(state, self.dt)
 
@@ -242,11 +251,12 @@ class DroneSwarmEngine:
         """Raise NumericBlowup unless every position, phase and command
         is finite and no pair distance or speed overflows when squared.
 
-        The fast test bounds every coordinate by _COORD_LIMIT; only a
-        state that fails it is scanned drone by drone.
+        The fast test, one sum of squares, passes only states whose
+        every coordinate is below _COORD_LIMIT; a state that fails it
+        (NaN, inf, overflow or just large) is scanned drone by drone.
         """
         s = self.state
-        if s.values.size and not np.abs(s.values).max() < _COORD_LIMIT:
+        if not s.values.dot(s.values) < _SQUARES_LIMIT:
             row = _first_bad_row(s)
             if row is not None:
                 raise NumericBlowup(self.tick, self._alive[row].id)
@@ -280,9 +290,12 @@ class DroneSwarmEngine:
         total_ticks = int(round(duration / self.dt))
         if on_sample is not None and self.tick == 0:
             on_sample(self)
-        while self.tick < total_ticks:
-            self.step()
-            if on_sample is not None and (
-                self.tick % sample_every == 0 or self.tick == total_ticks
-            ):
-                on_sample(self)
+        # Each tick's check reports an overflow as NumericBlowup, naming
+        # the tick and agent; numpy's warning for it would only repeat it.
+        with np.errstate(over="ignore"):
+            while self.tick < total_ticks:
+                self.step()
+                if on_sample is not None and (
+                    self.tick % sample_every == 0 or self.tick == total_ticks
+                ):
+                    on_sample(self)

@@ -30,7 +30,7 @@ def test_tracer_wraps_every_boundary_and_restores_them():
     try:
         assert drone.advance_clock is not before[1]["advance_clock"]
         cfg = config.parse_config(scenario_text("quincunx_ma10") + "duration = 0.5\n")
-        runner.run_config(cfg, write=False)
+        result = runner.run_config(cfg, write=False)
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in OWNERS] == before
@@ -39,5 +39,7 @@ def test_tracer_wraps_every_boundary_and_restores_them():
     assert spans["engine.step"]["calls"] == 100
     for kernel in ("drone.advance_clock", "drone.apply_motion"):
         assert spans[kernel]["calls"] == 100
-    received = spans["drone.on_pulse_received"]["calls"]
-    assert received > 0 and spans["smoothing.push"]["calls"] == received
+    # One reception call per delivery, one filter push per recipient.
+    delivered = result.summary["medium"]["delivered"]
+    assert delivered > 0 and spans["drone.on_pulse_received"]["calls"] == delivered
+    assert spans["smoothing.push"]["calls"] == (cfg.n - 1) * delivered

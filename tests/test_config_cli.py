@@ -305,6 +305,29 @@ class TestCli:
         assert "tick 56 for agent 0" in capsys.readouterr().err
         assert not (out / "overflow").exists()
 
+    def test_two_agent_reference_run_exits_2_writing_nothing(self, tmp_path, capsys):
+        # The summary reports the rainbow correlation, which needs three agents.
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text(scenario_text("table1_static_sync") + "ref.n = 2\nduration = 1.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ref.n must be >= 3" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coord", ["1e300", "-1e155", "inf", "nan"])
+    def test_far_spawn_exits_2_naming_event(self, tmp_path, capsys, coord):
+        text = MINI_DRONE.replace("scenario.formation = ring", "scenario.formation = line")
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(
+            text.replace("scenario.n = 3", "scenario.n = 2")
+            + f"scenario.events = 0.2 spawn {coord} 0\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "spawn at t=0.2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_event_time_exits_2(self, tmp_path, capsys):
         text = scenario_text("join_mid").replace(
             "scenario.events", "scenario.events = nan spawn 0 0\nscenario.events", 1

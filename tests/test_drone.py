@@ -14,7 +14,6 @@ from swarmpulse.drone import (
     DroneParams,
     advance_clock,
     apply_motion,
-    movement_command,
     on_pulse_received,
 )
 from swarmpulse.engine import DroneSwarmEngine, NumericBlowup, ScenarioEvent
@@ -61,48 +60,48 @@ def build_engine(seed=0, n=5, positions=None, params=None, events=(), dt=0.005,
 class TestPulseResponse:
     def test_equal_phases_no_visible_change(self):
         me = drone(theta=1.3)
-        on_pulse_received(me, pulse_from(1, (1.0, 0.0), 1.3), TABLE_PARAMS)
+        on_pulse_received([me], pulse_from(1, (1.0, 0.0), 1.3), TABLE_PARAMS)
         assert me.theta == 1.3
 
     def test_hand_evaluated_visible_kick(self):
         me = drone(theta=0.0)
         params = DroneParams(k_visible=0.1, k_hidden=0.0, j=0.8, a=1.0, b=3.0)
-        on_pulse_received(me, pulse_from(1, (1.0, 0.0), math.pi / 2), params)
+        on_pulse_received([me], pulse_from(1, (1.0, 0.0), math.pi / 2), params)
         assert me.theta == pytest.approx(0.1)
 
     def test_equilibrium_distance_zero_command(self):
         d_star = TABLE_PARAMS.b / (TABLE_PARAMS.a + TABLE_PARAMS.j)
         me = drone(theta=0.8)
-        on_pulse_received(me, pulse_from(1, (d_star, 0.0), 0.8), TABLE_PARAMS)
+        on_pulse_received([me], pulse_from(1, (d_star, 0.0), 0.8), TABLE_PARAMS)
         assert np.linalg.norm(me.command) < 1e-12
 
     def test_own_pulse_rejected(self):
         me = drone(drone_id=3)
         with pytest.raises(ValueError):
-            on_pulse_received(me, pulse_from(3, (1.0, 0.0), 0.0), TABLE_PARAMS)
+            on_pulse_received([me], pulse_from(3, (1.0, 0.0), 0.0), TABLE_PARAMS)
 
     def test_command_pushed_through_filter(self):
         me = drone()
         me.filter = make_filter("moving_average", 2)
         params = DroneParams(k_visible=0.0, k_hidden=0.0, j=0.0, a=1.0, b=0.5, speed_cap=10.0)
-        on_pulse_received(me, pulse_from(1, (1.0, 0.0), 0.0), params)
+        on_pulse_received([me], pulse_from(1, (1.0, 0.0), 0.0), params)
         first = me.command.copy()
-        on_pulse_received(me, pulse_from(1, (2.0, 0.0), 0.0), params)
-        raw1 = np.array(movement_command(vec(1.0, 0.0), 0.0, params))
-        raw2 = np.array(movement_command(vec(2.0, 0.0), 0.0, params))
+        on_pulse_received([me], pulse_from(1, (2.0, 0.0), 0.0), params)
+        # Raw commands at distance d: (a - b / d, 0), so (0.5, 0) and (0.75, 0).
+        raw1, raw2 = vec(0.5, 0.0), vec(0.75, 0.0)
         assert np.allclose(first, raw1)
         assert np.allclose(me.command, (raw1 + raw2) / 2)
 
     def test_speed_cap_applied_after_smoothing(self):
         me = drone()
         params = DroneParams(k_visible=0.0, k_hidden=0.0, j=0.0, a=5.0, b=0.001, speed_cap=0.3)
-        on_pulse_received(me, pulse_from(1, (1.0, 0.0), 0.0), params)
+        on_pulse_received([me], pulse_from(1, (1.0, 0.0), 0.0), params)
         assert np.linalg.norm(me.command) == pytest.approx(0.3)
 
     def test_hidden_kick_repels_from_fire_instant(self):
         params = DroneParams(k_visible=0.0, k_hidden=-0.1)
         me = drone(hidden=0.3)
-        on_pulse_received(me, pulse_from(1, (1.0, 0.0), 0.0), params)
+        on_pulse_received([me], pulse_from(1, (1.0, 0.0), 0.0), params)
         # pushed away from the sender's wrap point (0) toward antiphase:
         # psi = 0.3, kick 0.1 * sin(0.3) / (2 - cos(0.3)) = 0.0282886
         assert me.hidden == pytest.approx(0.3 + 0.1 * math.sin(0.3) / (2.0 - math.cos(0.3)))
@@ -111,7 +110,7 @@ class TestPulseResponse:
     def test_hidden_payload_used_when_present(self):
         params = DroneParams(k_visible=0.0, k_hidden=-0.1)
         me = drone(hidden=0.3)
-        on_pulse_received(me, pulse_from(1, (1.0, 0.0), 0.0, hidden=1.0), params)
+        on_pulse_received([me], pulse_from(1, (1.0, 0.0), 0.0, hidden=1.0), params)
         # psi = 0.3 - 1.0 = -0.7: pushed below the payload reference 1.0,
         # not away from 0; kick 0.1 * sin(0.7) / (2 - cos(0.7)) = 0.0521567
         assert me.hidden == pytest.approx(0.3 - 0.1 * math.sin(0.7) / (2.0 - math.cos(0.7)))
@@ -122,7 +121,7 @@ class TestPulseResponse:
         results = []
         for _ in range(3):
             me = drone(theta=0.4, hidden=2.0, pos=(0.2, -0.1))
-            on_pulse_received(me, pulse_from(9, (1.0, 0.7), 2.2), TABLE_PARAMS)
+            on_pulse_received([me], pulse_from(9, (1.0, 0.7), 2.2), TABLE_PARAMS)
             results.append((me.theta, me.hidden, me.command.copy()))
         for theta, hidden, cmd in results[1:]:
             assert theta == results[0][0]
@@ -261,7 +260,7 @@ class TestEngineInvariants:
             out = []
             for msg in schedule:
                 advance_clock(me.state, 0.05)
-                on_pulse_received(me, msg, params)
+                on_pulse_received([me], msg, params)
                 out.append(me.theta)
             thetas.append(out)
         assert thetas[0] == thetas[1]
@@ -305,10 +304,10 @@ class TestEngineInvariants:
             b = drone(drone_id=1, theta=gap)
             g = gap
             for _ in range(40):
-                on_pulse_received(a, pulse_from(1, (1.0, 0.0), b.theta), params)
+                on_pulse_received([a], pulse_from(1, (1.0, 0.0), b.theta), params)
                 g_new = abs(circ_diff(b.theta, a.theta))
                 assert g_new < g
-                on_pulse_received(b, pulse_from(0, (-1.0, 0.0), a.theta), params)
+                on_pulse_received([b], pulse_from(0, (-1.0, 0.0), a.theta), params)
                 g2 = abs(circ_diff(b.theta, a.theta))
                 assert g2 < g_new
                 g = g2
@@ -400,8 +399,10 @@ class TestRoster:
         """(receiver id, sender id) of every reception, in order."""
         log = []
         receive = drone_mod.on_pulse_received
-        monkeypatch.setattr(drone_mod, "on_pulse_received",
-                            lambda d, p, *a: log.append((d.id, p.sender)) or receive(d, p, *a))
+        monkeypatch.setattr(
+            drone_mod, "on_pulse_received",
+            lambda ds, p, *a: log.extend((d.id, p.sender) for d in ds) or receive(ds, p, *a),
+        )
         return log
 
     def engine_with_pulse_in_flight(self, n):
@@ -466,12 +467,50 @@ class TestHandleWrites:
 
 
 class TestOverflow:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
     def test_overflowing_pair_distance_named(self):
         # Every coordinate is finite; the squared distance of 1 and 2 is not.
         eng = build_engine(n=3, positions=[(0.0, 0.0), (-1e154, 0.0), (1e154, 0.0)])
         with pytest.raises(NumericBlowup) as exc:
             eng.step()
         assert (exc.value.tick, exc.value.agent_id) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "field, col, value, agent",
+        [
+            ("pos", 0, math.nan, 1),
+            ("pos", 1, -math.inf, 0),
+            ("command", 1, math.nan, 2),
+            ("command", 0, math.inf, 3),
+            ("phases", 0, math.nan, 3),
+            ("phases", 1, math.nan, 2),
+        ],
+    )
+    def test_non_finite_state_named_at_next_tick(self, field, col, value, agent):
+        eng = build_engine(seed=2, n=4)
+        eng.run(0.5)
+        getattr(eng.state, field)[eng.drones[agent].row, col] = value
+        with pytest.raises(NumericBlowup) as exc:
+            eng.run(1.0)
+        assert (exc.value.tick, exc.value.agent_id) == (101, agent)
+
+    def test_overflowing_pair_distance_mid_run_named(self):
+        # Drones 1 and 3 are 2e154 apart; each is 1e154 from the others.
+        eng = build_engine(seed=2, n=4)
+        eng.run(0.5)
+        eng.drones[1].pos = vec(-1e154, 0.0)
+        eng.drones[3].pos = vec(1e154, 0.0)
+        with pytest.raises(NumericBlowup) as exc:
+            eng.run(1.0)
+        assert (exc.value.tick, exc.value.agent_id) == (101, 1)
+
+    def test_far_spawn_names_the_spawned_drone(self):
+        # Every state stays finite; only the distances to drone 2 overflow.
+        eng = build_engine(n=2, positions=[(0.0, 0.0), (1.0, 0.0)])
+        eng.add_drone((1e300, 0.0))
+        with pytest.raises(NumericBlowup) as exc:
+            eng.run(0.1)
+        assert (exc.value.tick, exc.value.agent_id) == (1, 2)
 
     def test_large_but_safe_positions_run_on(self):
         # Past the fast check's bound, but no square overflows.

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swarmpulse import drone
 from swarmpulse.engine import DroneSwarmEngine
 from swarmpulse.geometry import seeded_rng, vec
-from swarmpulse.medium import BroadcastMedium, PulseMessage
+from swarmpulse.medium import COLLISION_POLICIES, BroadcastMedium, PulseMessage
 
 
 def msg(sender, sent_at, theta=0.0):
@@ -54,7 +56,7 @@ class TestDelivery:
         heard = []
         receive = drone.on_pulse_received
         monkeypatch.setattr(drone, "on_pulse_received",
-                            lambda d, p, *a: heard.append((d.id, p)) or receive(d, p, *a))
+                            lambda ds, p, *a: heard.extend((d.id, p) for d in ds) or receive(ds, p, *a))
         eng = DroneSwarmEngine(params=drone.DroneParams(), medium=medium(),
                                rng=seeded_rng(5))
         for i in range(5):
@@ -145,3 +147,66 @@ class TestConservation:
         m.poll_deliveries(1.0)
         with pytest.raises(ValueError):
             m.broadcast(msg(0, 0.5))
+
+
+class FullScanMedium(BroadcastMedium):
+    """The medium with a poll that scans the whole queue every time."""
+
+    def poll_deliveries(self, now):
+        if now < self._last_poll:
+            raise ValueError(f"poll at t={now} is before t={self._last_poll}")
+        self._last_poll = now
+        due = [e for e in self._queue if e.delivery_time <= now]
+        self._queue = [e for e in self._queue if e.delivery_time > now]
+        due.sort(key=lambda e: (e.delivery_time, e.msg.sender))
+        drop = self.collision_policy == "drop_all"
+        out = [e.msg for e in due if not (drop and e.collided)]
+        self.stats.dropped += len(due) - len(out)
+        self.stats.delivered += len(out)
+        return out
+
+
+steps = st.sampled_from([0.0, 0.001, 0.0025, 0.005, 0.0125, 0.05])
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("broadcast"), steps, st.integers(0, 5)),
+        st.tuples(st.just("poll"), steps, st.just(0)),
+        st.tuples(st.just("poll_back"), st.sampled_from([0.001, 0.01]), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.0, 0.005, 0.01]), st.sampled_from(COLLISION_POLICIES), operations)
+# Left in flight after a poll: a pulse sent later, ahead of one due sooner.
+@example(0.0, "drop_all", [("broadcast", 0.001, 0), ("broadcast", 0.05, 1),
+                           ("broadcast", 0.0125, 2), ("poll", 0.005, 0), ("poll", 0.0125, 0)])
+def test_poll_matches_full_scan(airtime, policy, ops):
+    lean = BroadcastMedium(airtime=airtime, collision_policy=policy)
+    full = FullScanMedium(airtime=airtime, collision_policy=policy)
+    t = 0.0
+    for kind, step, sender in ops:
+        if kind == "poll_back":
+            for m in (lean, full):
+                with pytest.raises(ValueError):
+                    m.poll_deliveries(m._last_poll - step)
+            continue
+        if kind == "broadcast":
+            # Sends after the last poll, not always after the last send,
+            # as the engine's pulses within one tick are.
+            pulse = msg(sender, t + step)
+            lean.broadcast(pulse)
+            full.broadcast(pulse)
+        else:
+            t += step
+            assert same_pulses(lean.poll_deliveries(t), full.poll_deliveries(t))
+        assert lean.stats == full.stats
+        assert lean.in_flight() == full.in_flight()
+    t += 1.0
+    assert same_pulses(lean.poll_deliveries(t), full.poll_deliveries(t))
+    assert lean.stats == full.stats and lean.in_flight() == full.in_flight() == 0
+
+
+def same_pulses(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
