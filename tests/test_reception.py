@@ -135,7 +135,7 @@ def test_one_call_per_delivery_equals_one_call_per_recipient(case):
     ref_state, ref_drones = swarm(pos, phases, commands, mode)
     new_state, new_drones = swarm(pos, phases, commands, mode)
     ref_rng, new_rng = seeded_rng(seed), seeded_rng(seed)
-    # A pulse the state's first pushes would have left in each filter.
+    # Give every filter some history before the deliveries.
     for d in ref_drones + new_drones:
         d.filter.push((0.25, -0.125))
 
