@@ -12,7 +12,11 @@ the bundled scenarios never reach: `quincunx_ma10` with a few override
 lines each (a crowd, the deliver_all channel, exponential smoothing
 with the hidden phase in the payload, negative rates, several hidden
 wraps in one tick, a spawn on top of a live drone, a spawn and a
-despawn with pulses in flight). Each variant's
+despawn with pulses in flight), and for reference runs at sizes and
+signs where numpy's reductions change their order: `table1_static_sync`
+with a few override lines each (5 agents, below numpy's 8-way unrolled
+sum; 150, above its 128-element pairwise block; spread frequencies
+about a non-zero base; negative k and j). Each variant's
 `test_variant_reaches_its_path` shows the run really takes that path.
 """
 
@@ -25,7 +29,8 @@ import pytest
 
 from swarmpulse import drone
 from swarmpulse.config import parse_config
-from swarmpulse.geometry import TAU
+from swarmpulse.geometry import TAU, seeded_rng
+from swarmpulse.reference import SwarmParams, init_state
 from swarmpulse.runner import build_drone_engine, run_config
 from swarmpulse.scenarios import SCENARIO_NAMES, scenario_text
 
@@ -34,7 +39,8 @@ GOLDEN = json.loads((HERE / "golden_hashes.json").read_text())
 GOLDEN_VARIANTS = json.loads((HERE / "golden_variant_hashes.json").read_text())
 FILES = ("phases.csv", "positions.csv", "metrics.csv", "summary.json")
 
-# name -> config lines appended to quincunx_ma10 (a later line wins).
+# name -> config lines appended to quincunx_ma10, or to table1_static_sync
+# for a "ref_" name (a later line wins).
 VARIANTS = {
     "crowd_n80_drop_all": [
         "duration = 2.0", "scenario.n = 80", "scenario.formation = random",
@@ -65,11 +71,16 @@ VARIANTS = {
         "scenario.events = 0.34 spawn 0.2 0.1",
         "scenario.events = 0.36 despawn 6",
     ],
+    "ref_n5": ["duration = 30.0", "ref.n = 5"],
+    "ref_n150": ["duration = 1.0", "ref.n = 150"],
+    "ref_freq_var_omega": ["duration = 30.0", "ref.freq_var = 0.5", "ref.omega = 1.0"],
+    "ref_negative_k_j": ["duration = 30.0", "ref.k = -0.5", "ref.j = -0.5"],
 }
 
 
 def variant_text(name: str) -> str:
-    return scenario_text("quincunx_ma10") + "\n".join(VARIANTS[name]) + "\n"
+    base = "table1_static_sync" if name.startswith("ref_") else "quincunx_ma10"
+    return scenario_text(base) + "\n".join(VARIANTS[name]) + "\n"
 
 
 def digests(base: Path) -> dict[str, str]:
@@ -107,6 +118,19 @@ def test_variant_outputs_match_pins(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_variant_reaches_its_path(name, monkeypatch):
     cfg = parse_config(variant_text(name))
+    if name.startswith("ref_"):
+        assert cfg.model == "reference_swarmalator"
+        if name == "ref_n5":
+            assert cfg.n < 8
+        elif name == "ref_n150":
+            assert cfg.n > 128
+        elif name == "ref_freq_var_omega":
+            params = SwarmParams(n=cfg.n, k=cfg.ref_k, j=cfg.ref_j, freq_var=cfg.ref_freq_var)
+            omega = init_state(params, seeded_rng(cfg.seed), cfg.ref_omega)[2]
+            assert omega.min() < cfg.ref_omega < omega.max() and len(set(omega)) == cfg.n
+        elif name == "ref_negative_k_j":
+            assert cfg.ref_k < 0.0 and cfg.ref_j < 0.0
+        return
     engine = build_drone_engine(cfg)
     alive = engine.alive_drones()
     if name == "crowd_n80_drop_all":
