@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _COORD_LIMIT, ScenarioEvent
+from .engine import ScenarioEvent
+from .geometry import COORD_LIMIT
 from .medium import COLLISION_POLICIES
 from .smoothing import MODES as SMOOTHING_MODES
 
@@ -272,9 +273,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for ev in cfg.events:
         if not 0.0 <= ev.time <= cfg.duration:
             bad(f"event time {ev.time} outside run [0, {cfg.duration}]")
-        if ev.kind == "spawn" and not max(abs(c) for c in ev.pos) < _COORD_LIMIT:
+        if ev.kind == "spawn" and not max(abs(c) for c in ev.pos) < COORD_LIMIT:
             bad(f"spawn at t={ev.time}: position {tuple(ev.pos)} must have every "
-                f"coordinate below {_COORD_LIMIT:.3g} in magnitude")
+                f"coordinate below {COORD_LIMIT:.3g} in magnitude")
 
     if problems:
         raise ConfigError(problems)

@@ -48,14 +48,13 @@ is the one farthest out.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import drone as drone_mod
 from .drone import Drone, DroneArrays, DroneParams
-from .geometry import NumericBlowup
+from .geometry import SQUARES_LIMIT, NumericBlowup
 from .medium import BroadcastMedium, PulseMessage
 from .smoothing import IdentityFilter
 
@@ -79,14 +78,6 @@ class ScenarioEvent:
     kind: str                      # "spawn" | "despawn"
     pos: tuple[float, float] | np.ndarray | None = None
     target: int | str | None = None
-
-
-# With every coordinate below this, a squared pair distance is at most
-# 8 * _COORD_LIMIT**2, half the largest float, and a squared speed less.
-_COORD_LIMIT = math.sqrt(sys.float_info.max / 16.0)
-# A state whose sum of squares is below this has every coordinate below
-# _COORD_LIMIT, with a factor of two to spare for the sum's rounding.
-_SQUARES_LIMIT = sys.float_info.max / 32.0
 
 
 def _first_bad_row(state: DroneArrays) -> int | None:
@@ -216,24 +207,32 @@ class DroneSwarmEngine:
         t1 = (self.tick + 1) * self.dt
         state = self.state
 
-        for row, due in drone_mod.advance_clock(state, self.dt):
-            sender = self._alive[row].id
-            sent_at = t0 + due.offset
-            self.fire_log.append((sent_at, sender))
-            self.medium.broadcast(
-                PulseMessage(
-                    sender=sender,
-                    pos=tuple(state.pos[row].tolist()),
-                    theta=due.theta,
-                    sent_at=sent_at,
-                    hidden=state.phases.item(row, 1) if self.hidden_in_payload else None,
+        try:
+            for row, due in drone_mod.advance_clock(state, self.dt):
+                sender = self._alive[row].id
+                sent_at = t0 + due.offset
+                self.fire_log.append((sent_at, sender))
+                self.medium.broadcast(
+                    PulseMessage(
+                        sender=sender,
+                        pos=tuple(state.pos[row].tolist()),
+                        theta=due.theta,
+                        sent_at=sent_at,
+                        hidden=state.phases.item(row, 1) if self.hidden_in_payload else None,
+                    )
                 )
-            )
 
-        for msg in self.medium.poll_deliveries(t1):
-            drone_mod.on_pulse_received(
-                [d for d in self._alive if d.id != msg.sender], msg, self.params, self.rng
-            )
+            for msg in self.medium.poll_deliveries(t1):
+                drone_mod.on_pulse_received(
+                    [d for d in self._alive if d.id != msg.sender], msg, self.params, self.rng
+                )
+        except ValueError as exc:
+            # `wrap_angle` refuses a non-finite phase before either kernel
+            # writes its rows back, so the rows still show which drone.
+            row = _first_bad_row(state)
+            if row is None:
+                raise
+            raise NumericBlowup(self.tick + 1, self._alive[row].id) from exc
 
         drone_mod.apply_motion(state, self.dt)
 
@@ -252,11 +251,11 @@ class DroneSwarmEngine:
         is finite and no pair distance or speed overflows when squared.
 
         The fast test, one sum of squares, passes only states whose
-        every coordinate is below _COORD_LIMIT; a state that fails it
+        every coordinate is below geometry.COORD_LIMIT; a state that fails it
         (NaN, inf, overflow or just large) is scanned drone by drone.
         """
         s = self.state
-        if not s.values.dot(s.values) < _SQUARES_LIMIT:
+        if not s.values.dot(s.values) < SQUARES_LIMIT:
             row = _first_bad_row(s)
             if row is not None:
                 raise NumericBlowup(self.tick, self._alive[row].id)

@@ -13,6 +13,7 @@ builds on these helpers, so behaviour here is pinned down tightly:
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -21,6 +22,13 @@ TAU = 2.0 * math.pi
 # Below this separation the direction between two agents is undefined and
 # callers must substitute a random unit vector (see `random_unit`).
 EPSILON_DIST = 1e-6
+
+# With every coordinate below this, a squared pair distance is at most
+# 8 * COORD_LIMIT**2, half the largest float, and a squared speed less.
+COORD_LIMIT = math.sqrt(sys.float_info.max / 16.0)
+# A state whose sum of squares is below this has every coordinate below
+# COORD_LIMIT, with a factor of two to spare for the sum's rounding.
+SQUARES_LIMIT = sys.float_info.max / 32.0
 
 
 class SingularityError(ValueError):
@@ -52,14 +60,6 @@ def wrap_angle(raw: float) -> float:
     if wrapped >= TAU:
         wrapped -= TAU
     return wrapped
-
-
-def wrap_angle_array(raw: np.ndarray) -> np.ndarray:
-    """Vectorised `wrap_angle` for float64 arrays."""
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("non-finite angle in array")
-    wrapped = np.mod(raw, TAU)
-    return np.where(wrapped >= TAU, wrapped - TAU, wrapped)
 
 
 def circ_diff(a: float, b: float) -> float:

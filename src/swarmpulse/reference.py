@@ -16,22 +16,32 @@ Integration is explicit Euler; updates are synchronous (both updates read
 the same snapshot). For two equal-phase agents the stationary separation
 is B / (A + J), where attraction and repulsion balance.
 
-Both rates come from one pair geometry (`_rates`), built once per step:
-`run_reference` records, with each state, the velocity it then
-integrates from that state. Agents closer than EPSILON_DIST get a random
-pair direction, drawn once per coincident pair each time the geometry is
-built. `velocities`, `step_positions` and `step_phases` are thin
-wrappers over the same rates.
+Both rates come from one kernel, `_kernel`, built once per run over a
+(3, N) state (x plane, y plane, theta). It owns every other buffer and
+fills them in place each step: the (3, N) rates in the state's layout,
+the pair offsets as two (N, N) planes, the distances, phase differences
+and coefficients. Offsets are source-major, offsets[k, j, i] =
+x_j[k] - x_i[k], so the velocity sum over j runs over the outer axis
+and adds the pairs one after another in j order; numpy would sum a
+contiguous row pairwise and round differently. `run_reference` records,
+with each state, the velocity it then integrates from that state, into
+arrays sized for the whole run. Agents closer than EPSILON_DIST get a
+random pair direction, drawn once per coincident pair each step. Each
+step checks the state and the rates with one sum of squares each, and
+scans agent by agent only when that sum is not small. `velocities`,
+`step_positions` and `step_phases` are thin wrappers over the same
+kernel.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPSILON_DIST, TAU, NumericBlowup, random_unit, wrap_angle_array
+from .geometry import EPSILON_DIST, SQUARES_LIMIT, TAU, NumericBlowup, random_unit
 
 
 @dataclass
@@ -65,60 +75,57 @@ class SwarmParams:
             )
 
 
-def _pair_geometry(pos: np.ndarray, rng: np.random.Generator | None):
-    """Pairwise offsets and distances with the coincident-pair fallback
-    applied.
+def _kernel(params: SwarmParams, omega: np.ndarray, rng: np.random.Generator | None,
+            state: np.ndarray):
+    """Rates function over one (3, N) `state`, on buffers allocated once.
 
-    Returns (diff, dist) where diff[i, j] = x_j - x_i. The diagonal of
-    dist is set to 1 to keep divisions clean; diagonal terms are masked
-    out of every sum.
+    The function fills its (3, N) rates from the state and returns them.
+    Its argument says every coordinate is below geometry.COORD_LIMIT, so
+    no pair distance can overflow; otherwise a distance that does is not
+    a distance, and both rates of the agents in that pair become NaN.
     """
-    diff = pos[None, :, :] - pos[:, None, :]
-    sq = diff * diff
-    dist = np.sqrt(sq[..., 0] + sq[..., 1])
-    np.fill_diagonal(dist, 1.0)
+    n = state.shape[1]
+    rates, offsets, work = np.empty((3, n)), np.empty((2, n, n)), np.empty((2, n, n))
+    dist, pd, coeff, tmp = (np.empty((n, n)) for _ in range(4))
+    near = np.empty((n, n), dtype=bool)
+    dist_diagonal, coeff_diagonal = (a.reshape(-1)[:: n + 1] for a in (dist, coeff))
+    xy, theta, vel, dtheta = state[:2], state[2], rates[:2], rates[2]
+    p = params
 
-    degenerate = dist <= EPSILON_DIST
-    if degenerate.any():
-        if rng is None:
-            raise ValueError(
-                "coincident agents and no RNG provided for the direction fallback"
-            )
-        # Substitute an antisymmetric random direction per degenerate pair
-        # and hold the distance at the floor value.
-        for i, j in zip(*np.nonzero(np.triu(degenerate))):
-            u = random_unit(rng)
-            diff[i, j] = u * EPSILON_DIST
-            diff[j, i] = -u * EPSILON_DIST
-            dist[i, j] = dist[j, i] = EPSILON_DIST
+    def step_rates(bounded: bool) -> np.ndarray:
+        np.subtract(xy[:, :, None], xy[:, None, :], out=offsets)
+        np.multiply(offsets, offsets, out=work)
+        np.sqrt(np.add(work[0], work[1], out=dist), out=dist)
+        # Held at 1 to keep divisions clean; diagonal terms are zero in every sum.
+        dist_diagonal[:] = 1.0
+        if np.less_equal(dist, EPSILON_DIST, out=near).any():
+            if rng is None:
+                raise ValueError(
+                    "coincident agents and no RNG provided for the direction fallback"
+                )
+            # An antisymmetric random direction per coincident pair, drawn
+            # in row-major order, with the distance held at the floor.
+            for i, j in zip(*np.nonzero(np.triu(near))):
+                u = random_unit(rng)
+                offsets[:, j, i] = u * EPSILON_DIST
+                offsets[:, i, j] = -u * EPSILON_DIST
+                dist[i, j] = dist[j, i] = EPSILON_DIST
+        if not bounded:
+            dist[np.isinf(dist)] = np.nan
 
-    return diff, dist
+        np.subtract(theta[None, :], theta[:, None], out=pd)
+        np.add(p.a, np.multiply(p.j, np.cos(pd, out=coeff), out=coeff), out=coeff)
+        np.divide(coeff, dist, out=coeff)
+        np.subtract(coeff, np.divide(p.b, np.multiply(dist, dist, out=tmp), out=tmp), out=coeff)
+        coeff_diagonal[:] = 0.0
+        np.add.reduce(np.multiply(coeff.T, offsets, out=work), axis=1, out=vel)
+        np.divide(vel, n, out=vel)
+        np.divide(np.sin(pd, out=pd), dist, out=pd)
+        np.add.reduce(pd, axis=1, out=dtheta)
+        np.add(omega, np.multiply(p.k / n, dtheta, out=dtheta), out=dtheta)
+        return rates
 
-
-def _rates(
-    pos: np.ndarray,
-    theta: np.ndarray,
-    omega: np.ndarray,
-    params: SwarmParams,
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity and phase rate of every agent, from one pair geometry.
-
-    A pair distance that overflows is not a distance: it turns both
-    rates of the agents in that pair into NaN.
-    """
-    n = pos.shape[0]
-    diff, dist = _pair_geometry(pos, rng)
-    dist[np.isinf(dist)] = np.nan
-    phase_diff = theta[None, :] - theta[:, None]
-    gain = params.a + params.j * np.cos(phase_diff)
-    coeff = gain / dist - params.b / (dist * dist)
-    np.fill_diagonal(coeff, 0.0)
-    coupling = np.sin(phase_diff) / dist
-    np.fill_diagonal(coupling, 0.0)
-    vel = np.einsum("ij,ijk->ik", coeff, diff) / n
-    dtheta = omega + (params.k / n) * np.sum(coupling, axis=1)
-    return vel, dtheta
+    return step_rates
 
 
 def velocities(
@@ -128,7 +135,7 @@ def velocities(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Per-agent velocity field of the spatial dynamics."""
-    return _rates(pos, theta, np.zeros(pos.shape[0]), params, rng)[0]
+    return _kernel(params, np.zeros(len(pos)), rng, np.array((*pos.T, theta)))(False)[:2].T
 
 
 def step_positions(
@@ -156,8 +163,11 @@ def step_phases(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """One Euler step of the phase dynamics; result wrapped to [0, 2*pi)."""
-    dtheta = _rates(pos, theta, omega, params, rng)[1]
-    return wrap_angle_array(theta + dtheta * dt)
+    state = np.array((*pos.T, theta))
+    new = state[2] + _kernel(params, omega, rng, state)(False)[2] * dt
+    if not np.isfinite(new).all():
+        raise ValueError("non-finite angle in array")
+    return _wrap(new)
 
 
 def assign_frequencies(
@@ -184,6 +194,16 @@ def init_state(
     theta = rng.uniform(0.0, TAU, size=params.n)
     omega = assign_frequencies(params.n, base_omega, params.freq_var, rng)
     return pos, theta, omega
+
+
+def _wrap(theta: np.ndarray) -> np.ndarray:
+    """Wrap finite phases into [0, 2*pi) in place, as `geometry.wrap_angle`
+    does."""
+    np.mod(theta, TAU, out=theta)
+    # np.mod can round up to exactly TAU for tiny negative inputs.
+    if np.maximum.reduce(theta) >= TAU:
+        theta[theta >= TAU] -= TAU
+    return theta
 
 
 def _check_finite(step: int, xy: np.ndarray, scalar: np.ndarray) -> None:
@@ -230,27 +250,39 @@ def run_reference(
         pos, theta, omega = (np.array(s, dtype=np.float64) for s in state)
 
     steps = int(round(duration / dt))
-    times, positions, thetas, vels = [], [], [], []
-    vel, dtheta = _rates(pos, theta, omega, params, rng)
-    for step in range(steps + 1):
-        if step > 0:
-            pos = pos + vel * dt
-            theta = theta + dtheta * dt
-            _check_finite(step, pos, theta)
-            theta = wrap_angle_array(theta)
-            vel, dtheta = _rates(pos, theta, omega, params, rng)
-        # The initial rates count as step 1's, the first step to integrate them.
-        _check_finite(max(step, 1), vel, dtheta)
-        if step % trace_every == 0 or step == steps:
-            times.append(step * dt)
-            positions.append(pos)
-            thetas.append(theta)
-            vels.append(vel)
+    n = len(theta)
+    samples = steps // trace_every + 1 + (steps % trace_every != 0)
+    times, thetas = np.empty(samples), np.empty((samples, n))
+    positions, vels = np.empty((samples, n, 2)), np.empty((samples, n, 2))
+    x = np.array((*pos.T, theta))
+    step_rates, move, flat_x = _kernel(params, omega, rng, x), np.empty((3, n)), x.reshape(-1)
+    sample = 0
+    # Each step's checks report a non-finite or overflowing state as
+    # NumericBlowup, naming the step and agent; numpy's warnings for it
+    # would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = step_rates(flat_x.dot(flat_x) < SQUARES_LIMIT)
+        flat_rates = rates.reshape(-1)
+        for step in range(steps + 1):
+            if step > 0:
+                x += np.multiply(rates, dt, out=move)
+                # One sum of squares passes every state whose coordinates
+                # are all small; anything else is scanned agent by agent.
+                bounded = flat_x.dot(flat_x) < SQUARES_LIMIT
+                if not bounded:
+                    _check_finite(step, x[:2].T, x[2])
+                _wrap(x[2])
+                step_rates(bounded)
+            # The initial rates count as step 1's, the first step to integrate them.
+            if not flat_rates.dot(flat_rates) < math.inf:
+                _check_finite(max(step, 1), rates[:2].T, rates[2])
+            if step % trace_every == 0 or step == steps:
+                times[sample] = step * dt
+                positions[sample] = x[:2].T
+                thetas[sample] = x[2]
+                vels[sample] = rates[:2].T
+                sample += 1
 
     return ReferenceTrace(
-        times=np.array(times),
-        positions=np.array(positions),
-        thetas=np.array(thetas),
-        velocities=np.array(vels),
-        omega=omega,
+        times=times, positions=positions, thetas=thetas, velocities=vels, omega=omega
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmpulse import cli
+from swarmpulse import cli, drone
 from swarmpulse.config import (
     ConfigError,
     QUINCUNX_POSITIONS,
@@ -304,6 +304,26 @@ class TestCli:
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 3
         assert "tick 56 for agent 0" in capsys.readouterr().err
         assert not (out / "overflow").exists()
+
+    def test_non_finite_phase_met_by_a_pulse_exits_3(self, tmp_path, monkeypatch, capsys):
+        # No config makes a phase non-finite within a tick, so a NaN is
+        # written into drone 1's phase as tick 56, the first with a
+        # delivery, advances the clocks.
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(scenario_text("quincunx_ma10") + "scenario.n = 4\n"
+                       "scenario.formation = ring\nseed = 2\nduration = 1.0\n")
+        advance, ticks = drone.advance_clock, []
+
+        def poisoned(state, dt):
+            due = advance(state, dt)
+            ticks.append(dt)
+            if len(ticks) == 56:
+                state.phases[1, 0] = math.nan
+            return due
+
+        monkeypatch.setattr(drone, "advance_clock", poisoned)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "tick 56 for agent 1" in capsys.readouterr().err
 
     def test_two_agent_reference_run_exits_2_writing_nothing(self, tmp_path, capsys):
         # The summary reports the rainbow correlation, which needs three agents.

@@ -494,6 +494,29 @@ class TestOverflow:
             eng.run(1.0)
         assert (exc.value.tick, exc.value.agent_id) == (101, agent)
 
+    @pytest.mark.parametrize("col", [0, 1])
+    @pytest.mark.parametrize("agent", [0, 1, 3])
+    def test_non_finite_phase_met_by_a_pulse_named(self, col, agent):
+        # Tick 56 is the first with a delivery; drone 2 sent the pulse.
+        cfg = parse_config(scenario_text("quincunx_ma10")
+                           + "scenario.n = 4\nscenario.formation = ring\nseed = 2\n")
+        eng = build_drone_engine(cfg)
+        eng.run(55 * eng.dt)
+        eng.state.phases[eng.drones[agent].row, col] = math.nan
+        with pytest.raises(NumericBlowup) as exc:
+            eng.step()
+        assert (exc.value.tick, exc.value.agent_id) == (56, agent)
+
+    def test_non_finite_phase_of_a_firing_drone_named(self):
+        eng = build_engine(seed=2, n=4)
+        eng.run(1.0)
+        for d in eng.alive_drones():
+            d.hidden = TAU - d.hidden_omega * eng.dt / 2  # every drone fires next tick
+        eng.state.phases[eng.drones[2].row, 0] = math.nan
+        with pytest.raises(NumericBlowup) as exc:
+            eng.step()
+        assert (exc.value.tick, exc.value.agent_id) == (201, 2)
+
     def test_overflowing_pair_distance_mid_run_named(self):
         # Drones 1 and 3 are 2e154 apart; each is 1e154 from the others.
         eng = build_engine(seed=2, n=4)

@@ -13,9 +13,9 @@ from swarmpulse.geometry import (
     seeded_rng,
     unit_phase_dist,
     wrap_angle,
-    wrap_angle_array,
     wrap_unit_phase,
 )
+from swarmpulse.reference import SwarmParams, step_phases
 
 finite_angles = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -50,8 +50,12 @@ class TestWrapAngle:
         assert x - w == pytest.approx(k * TAU, abs=1e-6)
 
     def test_array_variant_matches_scalar(self):
+        # The reference step wraps its phases in place; with no coupling
+        # and no natural frequency a step only wraps them.
         xs = np.array([-7.0, -1e-17, 0.0, 1.0, TAU, 10.0])
-        out = wrap_angle_array(xs)
+        pos = np.column_stack([np.arange(6.0), np.zeros(6)])
+        params = SwarmParams(n=6, k=0.0, j=0.0)
+        out = step_phases(pos, xs, np.zeros(6), params, 0.01)
         assert np.all(out >= 0.0) and np.all(out < TAU)
         for x, w in zip(xs, out):
             assert w == wrap_angle(float(x))
