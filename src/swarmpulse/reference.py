@@ -17,20 +17,15 @@ the same snapshot). For two equal-phase agents the stationary separation
 is B / (A + J), where attraction and repulsion balance.
 
 Both rates come from one kernel, `_kernel`, built once per run over a
-(3, N) state (x plane, y plane, theta). It owns every other buffer and
-fills them in place each step: the (3, N) rates in the state's layout,
-the pair offsets as two (N, N) planes, the distances, phase differences
-and coefficients. Offsets are source-major, offsets[k, j, i] =
-x_j[k] - x_i[k], so the velocity sum over j runs over the outer axis
-and adds the pairs one after another in j order; numpy would sum a
-contiguous row pairwise and round differently. `run_reference` records,
-with each state, the velocity it then integrates from that state, into
-arrays sized for the whole run. Agents closer than EPSILON_DIST get a
-random pair direction, drawn once per coincident pair each step. Each
-step checks the state and the rates with one sum of squares each, and
-scans agent by agent only when that sum is not small. `velocities`,
-`step_positions` and `step_phases` are thin wrappers over the same
-kernel.
+(3, N) state (x plane, y plane, theta) and filling (3, N) rates in
+place, on buffers it allocates once. Pair offsets are source-major,
+offsets[k, j, i] = x_j[k] - x_i[k], so the velocity sum over j runs over
+the outer axis and adds the pairs in j order, one after another; a sum
+along contiguous rows would be pairwise and round differently. Agents
+closer than EPSILON_DIST get a random pair direction, drawn once per
+coincident pair each step. `run_reference` records, with each state,
+the velocity it then integrates from that state. `velocities`,
+`step_positions` and `step_phases` are thin wrappers over the kernel.
 """
 
 from __future__ import annotations
@@ -77,13 +72,10 @@ class SwarmParams:
 
 def _kernel(params: SwarmParams, omega: np.ndarray, rng: np.random.Generator | None,
             state: np.ndarray):
-    """Rates function over one (3, N) `state`, on buffers allocated once.
-
-    The function fills its (3, N) rates from the state and returns them.
-    Its argument says every coordinate is below geometry.COORD_LIMIT, so
-    no pair distance can overflow; otherwise a distance that does is not
-    a distance, and both rates of the agents in that pair become NaN.
-    """
+    """The rates function of one run: it fills its (3, N) rates from
+    `state` and returns them. Its argument says every coordinate is below
+    geometry.COORD_LIMIT; otherwise a pair distance that overflows is not
+    a distance, and both rates of the agents in that pair become NaN."""
     n = state.shape[1]
     rates, offsets, work = np.empty((3, n)), np.empty((2, n, n)), np.empty((2, n, n))
     dist, pd, coeff, tmp = (np.empty((n, n)) for _ in range(4))
