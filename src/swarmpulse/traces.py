@@ -11,9 +11,20 @@ Fields a model does not define (hidden for the pulse and reference
 models, spacing for the single-population pulse model) are left empty.
 
 A run keeps each table as a `TraceTable`: its columns, not its rows.
-`write_csv` formats one column at a time (`format_column`, which writes
-every cell exactly as `fmt` would) and streams the lines out
-`CHUNK_ROWS` rows at a time, so no file is ever held in memory whole.
+`write_csv` streams it out `CHUNK_ROWS` rows at a time, so no file is
+ever held in memory whole, and `format_block` lays each block out in
+numpy, 28 bytes a cell: a prefix (sign, "0.000"), three words of three
+digits, a suffix ("e+XX") and the separator, padded with NUL bytes that
+one `bytes.translate` per block deletes. No Python string is built per
+cell. A float's mantissa is m = rint(s), s = |x| * 10**(8-E) with E =
+floor(log10|x|), scaled by one multiply with a power of ten that is
+exact up to 10**22 and within an ulp beyond, so s is within 3.3e-7 of
+the exact product. Where s lies in [1e8, 1e9 - 0.5) and at least 1e-6
+from a rounding tie, m and E are what '%.9g' prints, whatever
+`np.log10` returned on this CPU. `fmt` writes every other cell: near a
+tie, a wrong E, |x| outside 1e-280..1e280, an infinity, or an integer
+of 1e9 or more. Zero is "0" or "-0", and NaN an empty cell.
+
 Cells are numbers or empty and every table has several columns, so no
 line needs CSV quoting.
 """
@@ -42,8 +53,9 @@ METRICS_HEADER = (
 )
 
 # Rows per block of `write_csv`: large enough to amortise the per-block
-# numpy calls, small enough that a block's strings stay well under 1 MB.
-CHUNK_ROWS = 1024
+# numpy calls, small enough that a block of six columns, with its
+# temporaries, peaks near 1.6 MiB.
+CHUNK_ROWS = 2048
 
 
 def fmt(value) -> str:
@@ -61,21 +73,89 @@ def fmt(value) -> str:
     return str(value)
 
 
-def format_column(col: np.ndarray | None, rows: int) -> list[str]:
-    """The cells of one column, each exactly as `fmt` writes its value.
+# Cell layout tables; rows indexed by the exponent E are at E + _E0.
+_E0 = 281
+_E = np.arange(-_E0, _E0)
+# 10**(8 - E) as 10**(22q) * 10**r: exact for 0 <= 8 - E <= 22, else within an ulp.
+_q, _r = np.divmod(8 - _E, 22)
+_SCALE = np.array([float(f"1e{22 * q}") for q in range(-13, 14)])[_q + 13]
+_SCALE *= np.cumprod([1.0] + [10.0] * 21)[_r]
+_g = np.arange(1000)
+_digits = (_g[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+_text = np.zeros((3, _E.size, 8), np.uint8)  # prefix, "-" and prefix, suffix
+_text[1, :, 0] = ord("-")
+for _e in range(-4, 0):
+    _lead = np.frombuffer(b"0." + b"0" * (-_e - 1), np.uint8)
+    _text[0, _E0 + _e, :_lead.size] = _text[1, _E0 + _e, 1:_lead.size + 1] = _lead
+_sci = (_E < -4) | (_E > 8)
+_text[2, :, 0] = ord("e")
+_text[2, :, 1] = np.where(_E < 0, ord("-"), ord("+"))
+_text[2, :, 2:5] = _digits[np.abs(_E)]
+_text[2, np.abs(_E) < 100, 2:5] = _text[2, np.abs(_E) < 100, 3:6]
+_text[2, ~_sci] = 0
+_PREFIX = _text[:2].view(np.uint64).ravel()  # [sign * _E.size + row]
+_SUFFIX = _text[2].view(np.uint64).ravel()
+# 10 * (the digit the point follows + 1), 0 for "0.000ddd".
+_POINT = np.where(_sci, 10, 10 * (np.maximum(_E, -1) + 1))
+_COMMA, _NEWLINE = np.frombuffer(b"\0\0\0,\0\0\0\n", np.uint32)
+# Digit group g's word is _GROUP[16 * g + 4 * c + d]: its first c digits,
+# with the point after digit d (d = 3: no point).
+_group = np.zeros((1000, 4, 4, 4), np.uint8)
+for _c in range(4):
+    _group[:, _c, 3, :_c] = _digits[:, :_c]
+    for _d in range(_c):
+        _group[:, _c, _d, :_c + 1] = np.insert(_digits[:, :_c], _d + 1, ord("."), axis=1)
+_GROUP = _group.view(np.uint32).ravel()
+# _SIG[j][g]: significant digits up to the end of group j, 0 if g is 0.
+_j = np.array([[0], [3], [6]])
+_SIG = np.where(_g > 0, _j + 3 - (_g % 10 == 0) - (_g % 100 == 0), 0)
+# _CODE[j][_POINT + significant digits] is group j's 4 * c + d.
+_point, _nsig = np.divmod(np.arange(100), 10)
+_dot = np.where(_nsig > _point, _point - 1 - _j, -1)
+_kept = np.clip(np.maximum(_point, _nsig) - _j, 0, 3)
+_CODE = _kept * 4 + np.where((_dot >= 0) & (_dot < 3), _dot, 3)
 
-    `col` is a float64 array (NaN is an empty cell), an integer array, or
-    None for a column the model does not define (`rows` empty cells).
-    """
-    if col is None:
-        return [""] * rows
-    values = col.tolist()
-    if col.dtype.kind != "f":
-        return list(map(str, values))
-    cells = list(map("%.9g".__mod__, values))
-    if np.isnan(col).any():
-        return ["" if v != v else c for v, c in zip(values, cells)]
-    return cells
+
+def _layout(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of float64 `x` as (*x.shape, 7) uint32 words with no
+    separator, and the mask of cells that `fmt` must write instead."""
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a < 1e280)
+    a1 = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a1)).astype(np.intp) + _E0
+    s = a1 * _SCALE[k]
+    m = np.rint(s)
+    slow = (s < 1e8) | (m >= 1e9) | (np.abs(s - m) > 0.5 - 1e-6) | (~fast & (a > 0))
+    m[slow | (a == 0)] = 0
+    hi, lo = np.divmod(m.astype(np.intp), 1000)
+    g = (*np.divmod(hi, 1000), lo)
+    key = _POINT[k] + np.maximum(np.maximum(_SIG[0][g[0]], _SIG[1][g[1]]), _SIG[2][g[2]])
+    words = np.empty((*x.shape, 7), np.uint32)
+    words[..., :2].view(np.uint64)[..., 0] = _PREFIX[np.signbit(x) * _E.size + k]
+    for j in range(3):
+        words[..., 2 + j] = _GROUP[16 * g[j] + _CODE[j][key]]
+    words[..., 5:].view(np.uint64)[..., 0] = _SUFFIX[k]
+    words[np.isnan(x)] = 0
+    return words, slow
+
+
+def format_block(columns, rows: int) -> bytes:
+    """`rows` CSV lines whose cell j is `columns[j]`'s, exactly as `fmt`
+    writes it: a float64 array (NaN is an empty cell), an integer array,
+    or None for a column the model does not define (empty cells)."""
+    x = np.empty((rows, len(columns)))
+    for j, col in enumerate(columns):
+        x[:, j] = np.nan if col is None else col
+    ints = np.array([col is not None and col.dtype.kind != "f" for col in columns])
+    words, slow = _layout(x)
+    slow |= ints & (np.abs(x) >= 1e9)  # `str`, not '%.9g', writes these
+    cells = words.view(np.uint8).reshape(rows, len(columns), 28)
+    for i, j in zip(*np.nonzero(slow)):
+        text = fmt(columns[j][i].item()).encode()
+        cells[i, j, :27] = np.frombuffer(text.ljust(27, b"\0"), np.uint8)
+    words[:, :-1, 6] |= _COMMA
+    words[:, -1, 6] |= _NEWLINE
+    return words.tobytes().translate(None, b"\0")
 
 
 def _column_values(col: np.ndarray | None, rows: int) -> list:
@@ -107,32 +187,26 @@ class TraceTable:
     def __len__(self) -> int:
         return int(self._ends[-1]) if self._ends.size else 0
 
-    def _blocks(self, t_cells: list, cells):
-        """Per block of up to CHUNK_ROWS rows, one list per column: the
-        block's `t_cells` (indexed by sample), then `cells(slice, rows)`
-        of each of `columns`."""
+    def _blocks(self):
+        """Per block of up to CHUNK_ROWS rows, its columns: the time of
+        each row, then each of `columns` cut to the block."""
         n = len(self)
         for a in range(0, n, CHUNK_ROWS):
             b = min(a + CHUNK_ROWS, n)
-            sample = np.searchsorted(self._ends, np.arange(a, b), side="right").tolist()
-            yield [
-                list(map(t_cells.__getitem__, sample)),
-                *(cells(None if c is None else c[a:b], b - a) for c in self.columns),
-            ]
+            sample = np.searchsorted(self._ends, np.arange(a, b), side="right")
+            yield [self.times[sample], *(None if c is None else c[a:b] for c in self.columns)]
 
     def __iter__(self):
-        for block in self._blocks(self.times.tolist(), _column_values):
-            yield from zip(*block)
+        for block in self._blocks():
+            yield from zip(*(_column_values(c, len(block[0])) for c in block))
 
 
 def write_csv(path: Path, header, table: TraceTable) -> None:
     """Write `header` and the rows of `table`, one block of rows at a time."""
-    t_cells = format_column(table.times, table.times.size)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for block in table._blocks(t_cells, format_column):
-            fh.write("\n".join(map(",".join, zip(*block))))
-            fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        for block in table._blocks():
+            fh.write(format_block(block, len(block[0])))
 
 
 def write_summary(path: Path, summary: dict) -> None:

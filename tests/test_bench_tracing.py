@@ -23,19 +23,24 @@ def load_tracer():
     return module.Tracer()
 
 
-def test_tracer_wraps_every_boundary_and_restores_them():
+def test_tracer_wraps_every_boundary_and_restores_them(tmp_path):
     before = [dict(vars(owner)) for owner in OWNERS]
     tracer = load_tracer()
     tracer.install()
     try:
         assert drone.advance_clock is not before[1]["advance_clock"]
         cfg = config.parse_config(scenario_text("quincunx_ma10") + "duration = 0.5\n")
-        result = runner.run_config(cfg, write=False)
+        result = runner.run_config(cfg, out_dir=str(tmp_path))
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in OWNERS] == before
 
     spans = tracer.summary()
+    # The writer keeps the names the tracer patches in `runner`: one
+    # span per trace file and one for the summary.
+    assert spans["traces.write_csv"]["calls"] == 3
+    assert spans["traces.write_summary"]["calls"] == 1
+    assert all(path.stat().st_size > 0 for path in result.paths.values())
     assert spans["engine.step"]["calls"] == 100
     for kernel in ("drone.advance_clock", "drone.apply_motion"):
         assert spans[kernel]["calls"] == 100

@@ -1,13 +1,18 @@
-"""The column-wise trace writer and the row views of a run.
+"""The byte-level trace writer and the row views of a run.
 
-`write_csv` formats a whole column at once (`format_column`) instead of
-calling `fmt` per cell, so these tests pin the two to each other cell
-for cell, check that the row views `RunResult` exposes read back exactly
-the rows written, and bound the memory the writer holds at once.
+`write_csv` lays each block of rows out in numpy (`format_block`)
+instead of calling `fmt` per cell, so these tests pin the two to each
+other cell for cell, on every numpy SIMD level the host has, check that
+the row views `RunResult` exposes read back exactly the rows written,
+and bound the memory the writer holds at once.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +21,13 @@ from hypothesis import strategies as st
 
 from swarmpulse.config import parse_config
 from swarmpulse.runner import run_config
-from swarmpulse.scenarios import scenario_text
+from swarmpulse.scenarios import list_scenarios, scenario_text
 from swarmpulse.traces import (
     POSITION_HEADER,
     TraceTable,
+    _layout,
     fmt,
-    format_column,
+    format_block,
     write_csv,
 )
 
@@ -33,34 +39,70 @@ EDGE_FLOATS = [
 ]
 
 
+def cells(col, rows):
+    """The cells `format_block` writes for a one-column block."""
+    return format_block([col], rows).decode().split("\n")[:-1]
+
+
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
 @example(EDGE_FLOATS)
 @example([])
 def test_float_column_cells_equal_fmt(values):
-    col = np.array(values, dtype=np.float64)
-    assert format_column(col, len(values)) == [fmt(v) for v in values]
+    assert cells(np.array(values, dtype=np.float64), len(values)) == [fmt(v) for v in values]
 
 
 @given(st.lists(st.floats(min_value=1e16, allow_infinity=False), min_size=1))
 def test_large_float_cells_equal_fmt(values):
-    assert format_column(np.array(values), len(values)) == [fmt(v) for v in values]
+    assert cells(np.array(values), len(values)) == [fmt(v) for v in values]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=200))
+@example([0x8000000000000000, 0x7FF0000000000000, 0x7FF8000000000001, 1])
+def test_float_bit_patterns_equal_fmt(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert cells(values, len(bits)) == [fmt(v) for v in values.tolist()]
+
+
+def near_ties():
+    """Doubles nearest to decimals with a 5 in the 10th significant digit,
+    over the decades the fast path covers, and their neighbours."""
+    rng = np.random.default_rng(11)
+    mantissas = rng.integers(10**8, 10**9, size=3000)
+    exponents = rng.integers(-290, 280, size=3000)
+    ties = np.array([float(f"{m}5e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())])
+    ties[:100] = [float(f"{m}5e-9") for m in mantissas[:100].tolist()]  # |x| near 1
+    ties[1::2] *= -1
+    return np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+
+
+def test_near_tie_cells_equal_fmt():
+    values = near_ties()
+    inside = (np.abs(values) >= 1e-280) & (np.abs(values) < 1e280)
+    assert inside.sum() > 8000
+    assert _layout(values[inside])[1].all(), "a near-tie took the fast path"
+    assert cells(values, values.size) == [fmt(v) for v in values.tolist()]
 
 
 @given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1)))
-@example([0, -1, 2**63 - 1, -(2**63)])
+@example([0, -1, 2**63 - 1, -(2**63), 10**9, 10**9 - 1, -(10**9)])
 def test_int_column_cells_equal_fmt(values):
     col = np.array(values, dtype=np.int64)
-    assert format_column(col, len(values)) == [fmt(v) for v in values]
+    assert cells(col, len(values)) == [fmt(v) for v in values]
 
 
 @given(st.integers(min_value=0, max_value=2000))
 def test_missing_column_cells_equal_fmt(rows):
-    assert format_column(None, rows) == [fmt(None)] * rows
+    assert cells(None, rows) == [fmt(None)] * rows
 
 
 def test_edge_cells():
     col = np.array([-0.0, 5e-324, 1e16, math.nan, 1 / 3])
-    assert format_column(col, 5) == ["-0", "4.94065646e-324", "1e+16", "", "0.333333333"]
+    assert cells(col, 5) == ["-0", "4.94065646e-324", "1e+16", "", "0.333333333"]
+
+
+def test_block_lines_join_cells():
+    columns = [np.array([0.5, 2.0]), np.array([3, 10**12]), None, np.array([math.nan, -1e-7])]
+    assert format_block(columns, 2) == b"0.5,3,,\n2,1000000000000,,-1e-07\n"
 
 
 # -- row views -----------------------------------------------------------
@@ -158,3 +200,68 @@ def test_write_csv_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 4 * WRITE_PEAK_BAR
     assert peak < WRITE_PEAK_BAR, f"peak {peak / 2**20:.1f} MiB"
+
+
+# -- numpy SIMD levels ---------------------------------------------------
+
+# np.log10 differs in the last bit between numpy's SIMD kernels, so the
+# writer's exponent guess does too; its exactness check must make the
+# bytes the same anyway. Each level names the feature group it needs and
+# the groups NPY_DISABLE_CPU_FEATURES turns off to reach it from a newer
+# host.
+SIMD_LEVELS = {
+    "AVX2 (X86_V3)": ("X86_V3", ("X86_V4", "AVX512_ICL")),
+    "X86_V2 baseline": ("X86_V2", ("X86_V4", "X86_V3", "AVX512_ICL")),
+}
+
+
+def simd_check_values():
+    """The float columns of every bundled scenario shorter than 300 s,
+    the edge floats, and a seeded spread over 26 decades."""
+    parts = [np.array(EDGE_FLOATS)]
+    for name in list_scenarios():
+        cfg = parse_config(scenario_text(name))
+        if cfg.duration >= 300:
+            continue
+        result = run_config(cfg, name=name, write=False)
+        for table in (result.phase_rows, result.position_rows, result.metric_rows):
+            parts.append(table.times)
+            parts += [c for c in table.columns if c is not None and c.dtype.kind == "f"]
+    rng = np.random.default_rng(26)
+    size = 200_000
+    parts.append(rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-13, 13, size))
+    return np.concatenate(parts)
+
+
+def check_cells_equal_fmt(disabled):
+    """The subprocess side of `test_cells_equal_fmt_on_simd_level`."""
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+
+    assert not any(features[group] for group in disabled), f"{disabled} still on"
+    values = simd_check_values()
+    got = cells(values, values.size)
+    bad = [(v, c) for v, c in zip(values.tolist(), got) if c != fmt(v)]
+    assert not bad, f"{len(bad)} of {values.size} cells differ, e.g. {bad[:5]}"
+    print(f"{values.size} cells equal fmt with {disabled or 'nothing'} disabled")
+
+
+@pytest.mark.parametrize("level", SIMD_LEVELS)
+def test_cells_equal_fmt_on_simd_level(level):
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+
+    needs, groups = SIMD_LEVELS[level]
+    if not features.get(needs):
+        pytest.skip(f"host lacks the {level} level")
+    disabled = [group for group in groups if features.get(group)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, __file__, *disabled],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+if __name__ == "__main__":
+    check_cells_equal_fmt(sys.argv[1:])
