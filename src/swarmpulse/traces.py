@@ -12,18 +12,17 @@ models, spacing for the single-population pulse model) are left empty.
 
 A run keeps each table as a `TraceTable`: its columns, not its rows.
 `write_csv` streams it out `CHUNK_ROWS` rows at a time, so no file is
-ever held in memory whole, and `format_block` lays each block out in
-numpy, 28 bytes a cell: a prefix (sign, "0.000"), three words of three
-digits, a suffix ("e+XX") and the separator, padded with NUL bytes that
-one `bytes.translate` per block deletes. No Python string is built per
-cell. A float's mantissa is m = rint(s), s = |x| * 10**(8-E) with E =
-floor(log10|x|), scaled by one multiply with a power of ten that is
-exact up to 10**22 and within an ulp beyond, so s is within 3.3e-7 of
-the exact product. Where s lies in [1e8, 1e9 - 0.5) and at least 1e-6
-from a rounding tie, m and E are what '%.9g' prints, whatever
-`np.log10` returned on this CPU. `fmt` writes every other cell: near a
-tie, a wrong E, |x| outside 1e-280..1e280, an infinity, or an integer
-of 1e9 or more. Zero is "0" or "-0", and NaN an empty cell.
+held in memory whole, and `format_block` lays each block out in numpy,
+28 bytes a cell: a prefix (sign, "0.000"), three words of three digits,
+a suffix ("e+XX") and the separator, padded with NUL bytes that one
+`bytes.translate` deletes. No Python string is built per cell. A float's mantissa is m = rint(s),
+s = |x| * 10**(8-E) with E = floor(log10|x|): one multiply by a power
+of ten exact up to 10**22 and within an ulp beyond, so s is within
+3.3e-7 of the exact product. Where s lies in [1e8, 1e9 - 0.5) and at
+least 1e-6 from a rounding tie, m and E are thus what '%.9g' prints,
+whatever `np.log10` returned on this CPU. `fmt` writes every other
+cell: near a tie, a wrong E, |x| outside 1e-280..1e280, an infinity, or
+an integer of 1e9 or more. Zero is "0" or "-0", NaN an empty cell.
 
 Cells are numbers or empty and every table has several columns, so no
 line needs CSV quoting.
@@ -53,9 +52,10 @@ METRICS_HEADER = (
 )
 
 # Rows per block of `write_csv`: large enough to amortise the per-block
-# numpy calls, small enough that a block of six columns, with its
-# temporaries, peaks near 1.6 MiB.
-CHUNK_ROWS = 2048
+# numpy calls, small enough that a block of six columns and its
+# temporaries peak near 0.3 MiB. Larger blocks are a little faster but
+# raise a small run's peak resident memory by about 1 MiB at 2048 rows.
+CHUNK_ROWS = 512
 
 
 def fmt(value) -> str:
@@ -77,9 +77,8 @@ def fmt(value) -> str:
 _E0 = 281
 _E = np.arange(-_E0, _E0)
 # 10**(8 - E) as 10**(22q) * 10**r: exact for 0 <= 8 - E <= 22, else within an ulp.
-_q, _r = np.divmod(8 - _E, 22)
-_SCALE = np.array([float(f"1e{22 * q}") for q in range(-13, 14)])[_q + 13]
-_SCALE *= np.cumprod([1.0] + [10.0] * 21)[_r]
+_SCALE = np.array([float(f"1e{22 * q}") for q in range(-13, 14)])[(8 - _E) // 22 + 13]
+_SCALE *= np.cumprod([1.0] + [10.0] * 21)[(8 - _E) % 22]
 _g = np.arange(1000)
 _digits = (_g[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
 _text = np.zeros((3, _E.size, 8), np.uint8)  # prefix, "-" and prefix, suffix
@@ -116,18 +115,26 @@ _kept = np.clip(np.maximum(_point, _nsig) - _j, 0, 3)
 _CODE = _kept * 4 + np.where((_dot >= 0) & (_dot < 3), _dot, 3)
 
 
+def _scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell of float64 `x`: the exponent's table row, the 9-digit
+    mantissa (0 for zero, NaN and cells `fmt` writes) and the `fmt` mask."""
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a < 1e280)
+    slow = ~fast & (a > 0)
+    s = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(s)).astype(np.intp) + _E0
+    s *= _SCALE[k]
+    m = np.rint(s)
+    slow |= (s < 1e8) | (m >= 1e9) | (np.abs(s - m) > 0.5 - 1e-6)
+    m[slow | (a == 0)] = 0
+    return k, m.astype(np.intp), slow
+
+
 def _layout(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cells of float64 `x` as (*x.shape, 7) uint32 words with no
     separator, and the mask of cells that `fmt` must write instead."""
-    a = np.abs(x)
-    fast = (a >= 1e-280) & (a < 1e280)
-    a1 = np.where(fast, a, 1.0)
-    k = np.floor(np.log10(a1)).astype(np.intp) + _E0
-    s = a1 * _SCALE[k]
-    m = np.rint(s)
-    slow = (s < 1e8) | (m >= 1e9) | (np.abs(s - m) > 0.5 - 1e-6) | (~fast & (a > 0))
-    m[slow | (a == 0)] = 0
-    hi, lo = np.divmod(m.astype(np.intp), 1000)
+    k, m, slow = _scale(x)
+    hi, lo = np.divmod(m, 1000)
     g = (*np.divmod(hi, 1000), lo)
     key = _POINT[k] + np.maximum(np.maximum(_SIG[0][g[0]], _SIG[1][g[1]]), _SIG[2][g[2]])
     words = np.empty((*x.shape, 7), np.uint32)
