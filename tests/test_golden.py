@@ -12,7 +12,9 @@ the bundled scenarios never reach: `quincunx_ma10` with a few override
 lines each (a crowd, the deliver_all channel, exponential smoothing
 with the hidden phase in the payload, negative rates, several hidden
 wraps in one tick, a spawn on top of a live drone, a spawn and a
-despawn with pulses in flight), and for reference runs at sizes and
+despawn with pulses in flight, slow clocks of unequal rates whose quiet
+stretches span thousands of ticks, with a spawn and a despawn inside
+them), and for reference runs at sizes and
 signs where numpy's reductions change their order: `table1_static_sync`
 with a few override lines each (5 agents, below numpy's 8-way unrolled
 sum; 150, above its 128-element pairwise block; spread frequencies
@@ -70,6 +72,14 @@ VARIANTS = {
         "medium.airtime = 0.05", "medium.collision_policy = deliver_all",
         "scenario.events = 0.34 spawn 0.2 0.1",
         "scenario.events = 0.36 despawn 6",
+    ],
+    "slow_clocks": [
+        # Rates of 0.15 to 0.45 rad/s, periods of 14 to 42 s: seconds pass
+        # between pulses, and the trace samples, the spawn and the despawn
+        # fall between them.
+        "duration = 120.0", "trace_rate = 5.0", "drone.omega = 0.3",
+        "drone.freq_var = 0.15", "scenario.events = 32.0 spawn 0.5 0.5",
+        "scenario.events = 90.0 despawn 2",
     ],
     "ref_n5": ["duration = 30.0", "ref.n = 5"],
     "ref_n150": ["duration = 1.0", "ref.n = 150"],
@@ -165,3 +175,13 @@ def test_variant_reaches_its_path(name, monkeypatch):
             assert engine.medium.in_flight() == len(pending) > 0
         # The despawned drone 6 has a pulse of its own still in flight.
         assert 6 in pending and 6 not in [d.id for d in engine.alive_drones()]
+    elif name == "slow_clocks":
+        rates = [r for d in alive for r in (d.omega, d.hidden_omega)]
+        assert min(rates) > 0.0 and len(set(rates)) == len(rates)
+        engine.run(cfg.duration)
+        times = sorted(t for t, _ in engine.fire_log)
+        gaps = list(zip(times, times[1:]))
+        assert max(b - a for a, b in gaps) > 2000 * cfg.dt
+        # Each event is more than a second from the nearest pulse.
+        for event in cfg.events:
+            assert any(a + 1.0 < event.time < b - 1.0 for a, b in gaps)
