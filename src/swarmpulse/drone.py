@@ -103,8 +103,10 @@ class DroneArrays:
     `rates` is (n, 2) holding (omega, hidden_omega). `pos`, `command`
     and `phases` are consecutive views of one buffer, `values`, so a
     single reduction can check all three. Every kernel updates them in
-    place. `rate_dt`, the rates times dt, is cached by `advance_clock`;
-    whoever writes `rates` sets it back to None.
+    place. `rate_dt`, the rates times dt, and `top_rate`, its largest
+    entry, are cached by `advance_clock`; whoever writes `rates` sets
+    `rate_dt` back to None. `top`, the largest raw phase of the last
+    clock step, and `top_rate` bound the ticks to the next wrap.
     """
 
     FIELDS = ("pos", "command", "phases", "rates")
@@ -119,6 +121,7 @@ class DroneArrays:
         self.rates = np.array(rates, dtype=np.float64).reshape(-1, 2)
         self.rate_dt: np.ndarray | None = None
         self.negative_rates = False
+        self.top_rate, self.top = 0.0, math.inf
 
     @classmethod
     def gather(cls, drones) -> DroneArrays:
@@ -289,11 +292,13 @@ def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, BroadcastDue
     if state.rate_dt is None:
         state.rate_dt = state.rates * dt
         state.negative_rates = bool((state.rates < 0.0).any())
+        state.top_rate = float(state.rate_dt.max(initial=0.0))
     phases = state.phases
     raw = phases + state.rate_dt
     due: list[tuple[int, BroadcastDue]] = []
     hidden_raw = raw[:, 1]
-    if len(raw) and np.maximum.reduce(hidden_raw) >= TAU:
+    state.top = np.maximum.reduce(raw, axis=None) if len(raw) else -math.inf
+    if state.top >= TAU:
         for row in np.flatnonzero(hidden_raw >= TAU).tolist():
             theta, hidden = phases[row].tolist()
             omega, hidden_omega = state.rates[row].tolist()

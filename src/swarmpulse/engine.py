@@ -31,11 +31,28 @@ per tick (`drone.advance_clock`, `drone.apply_motion`); step 2 is one
 `drone.on_pulse_received` call per delivered pulse, which serves all its
 recipients. Every value is computed by the same floating-point
 operations in the same order as a per-drone loop would, so the layout
-changes no output bit. A tick with nothing to deliver costs the two
-kernels, an early return from the medium and one sum of squares for the
-finiteness check.
+changes no output bit.
 `engine.drones[id]` and `alive_drones()` give `drone.Drone` handles
 that read and write those rows.
+
+`step()` advances one tick. `run()` also glides over quiet ticks: those
+with no delivery due (the medium's `next_due` is after the tick's end
+t1), no scenario event due (`time <= t1 + 1e-12` fails) and no phase
+reaching 2*pi. Between pulses each drone holds its command and its
+clocks run free, so k quiet ticks are one `np.add.accumulate` down a
+(k + 1, 6n) buffer laid out like `DroneArrays.values`: row 0 is the
+state, and each later row adds `command * dt` to `pos`, -0.0 to
+`command` (x + -0.0 is x, -0.0 included) and `rate_dt` to `phases`.
+The accumulate adds in sequence, one add per value and row, so each row
+holds the bits that stepping gives: `apply_motion` makes the same add,
+and `advance_clock`'s `np.mod` leaves a raw phase below 2*pi as it is.
+The scan ends before the first row where a phase reaches 2*pi or the
+state fails the finiteness check, and `step()` takes that tick, so a
+blow-up names the same tick and agent. A glide is tried only when at
+least MIN_GLIDE quiet ticks may follow, judged by the horizon and a
+cheap bound on the ticks to the next wrap. A swarm with a negative rate
+is stepped tick by tick, as `np.mod` wraps a negative raw phase. A
+sample inside a glide sees the state of its row.
 
 Determinism is absolute: identical construction and dt yield identical
 trajectories, fire logs, and collision counts. State is checked every
@@ -54,9 +71,16 @@ import numpy as np
 
 from . import drone as drone_mod
 from .drone import Drone, DroneArrays, DroneParams
-from .geometry import SQUARES_LIMIT, NumericBlowup
+from .geometry import SQUARES_LIMIT, TAU, NumericBlowup
 from .medium import BroadcastMedium, PulseMessage
 from .smoothing import IdentityFilter
+
+# Floats in one glide's buffer (256 KiB); a longer quiet stretch takes
+# several glides.
+GLIDE_FLOATS = 1 << 15
+# Fewest quiet ticks worth a glide: shorter stretches, as in crowds, are
+# cheaper stepped.
+MIN_GLIDE = 8
 
 
 class ScenarioEventError(ValueError):
@@ -284,7 +308,9 @@ class DroneSwarmEngine:
 
         Successive calls with increasing values continue the same run
         (useful for mid-run snapshots). on_sample(engine) fires at t=0
-        and at every `sample_every`-th tick boundary thereafter.
+        and at every `sample_every`-th tick boundary thereafter. It sees
+        the same state as after stepping tick by tick, and what it
+        writes to the drones holds from that tick on.
         """
         total_ticks = int(round(duration / self.dt))
         if on_sample is not None and self.tick == 0:
@@ -293,8 +319,89 @@ class DroneSwarmEngine:
         # the tick and agent; numpy's warning for it would only repeat it.
         with np.errstate(over="ignore"):
             while self.tick < total_ticks:
+                self._glide(total_ticks, sample_every, on_sample)
+                if self.tick == total_ticks:
+                    break
                 self.step()
                 if on_sample is not None and (
                     self.tick % sample_every == 0 or self.tick == total_ticks
                 ):
                     on_sample(self)
+
+    def _ticks_before(self, time: float, slack: float, limit: int) -> int:
+        """How many ticks from now, at most `limit`, end at a t1 with
+        t1 + slack < time."""
+        if not time < math.inf:
+            return limit
+        tick, dt = self.tick, self.dt
+        k = min(limit, max(0, int(time / dt) - tick))
+        while k > 0 and (tick + k) * dt + slack >= time:
+            k -= 1
+        while k < limit and (tick + k + 1) * dt + slack < time:
+            k += 1
+        return k
+
+    def _glide(self, total_ticks: int, sample_every: int, on_sample) -> None:
+        """Advance over the quiet ticks ahead in one array step, or do
+        nothing unless at least MIN_GLIDE of them may follow.
+
+        Every row of the scan carries the bits that `step()` would give
+        tick by tick (see the module docstring). It stops before the
+        first row where a phase reaches 2*pi or the state fails the
+        finiteness check, so `step()` takes that tick.
+        """
+        s, tick = self.state, self.tick
+        limit = total_ticks - tick
+        if limit < MIN_GLIDE or s.rate_dt is None or s.negative_rates or not s.values.size:
+            return
+        # Ticks before the largest raw phase of the last step could wrap
+        # at the fastest rate: a bound on the work only, which a kick, a
+        # setter or a glide leaves stale.
+        room = TAU - s.top
+        if not room >= MIN_GLIDE * s.top_rate:
+            return
+        if s.top_rate > 0.0:
+            limit = min(limit, int(room / s.top_rate) + MIN_GLIDE)
+        limit = min(limit, GLIDE_FLOATS // s.values.size - 1)
+        limit = self._ticks_before(self.medium.next_due, 0.0, limit)
+        if self._next_event < len(self.events):
+            limit = self._ticks_before(self.events[self._next_event].time, 1e-12, limit)
+        if limit < MIN_GLIDE:
+            return
+
+        values = s.values
+        m = values.size // 3
+        buf = np.empty((limit + 1, values.size))
+        buf[0] = values
+        buf[1:, :m] = (s.command * self.dt).reshape(-1)
+        buf[1:, m:2 * m] = -0.0
+        # np.mod turns a raw phase of -0.0 into 0.0; so does adding 0.0
+        # to a rate of -0.0, and nothing else changes a bit.
+        buf[1:, 2 * m:] = (s.rate_dt + 0.0).reshape(-1)
+        np.add.accumulate(buf, axis=0, out=buf)
+        rows = buf[1:]
+        quiet = (np.maximum.reduce(rows[:, 2 * m:], axis=1) < TAU) & (
+            np.vecdot(rows, rows) < SQUARES_LIMIT
+        )
+        stop = np.flatnonzero(~quiet)
+        end = tick + (int(stop[0]) if stop.size else limit)
+
+        marks = []
+        if on_sample is not None:
+            marks = list(range(tick // sample_every * sample_every + sample_every,
+                               end + 1, sample_every))
+            if end == total_ticks and end % sample_every:
+                marks.append(end)
+        for j in marks:
+            values[:] = buf[j - tick]
+            self.tick = j
+            on_sample(self)
+            if self.tick != j or self.state is not s or s.rate_dt is None or (
+                values.tobytes() != buf[j - tick].tobytes()
+            ):
+                break  # on_sample changed the engine: go on from its state
+        else:
+            values[:] = buf[end - tick]
+            self.tick = end
+        # The poll that the last tick would have made; nothing is due.
+        self.medium.poll_deliveries(self.tick * self.dt)

@@ -14,8 +14,8 @@ each surviving pulse to its living agents.
 The medium is owned by the simulation engine and advanced on a single
 logical timeline, so delivery order (delivery_time, then sender id) is
 globally consistent and deterministic. It keeps the earliest delivery
-time in flight, so a poll with nothing due returns without scanning
-the queue.
+time in flight, `next_due`, so a poll with nothing due returns without
+scanning the queue, and the engine can tell which ticks deliver nothing.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class BroadcastMedium:
     collision_policy: str = "drop_all"
     _queue: list[_InFlight] = field(default_factory=list)
     _last_poll: float = 0.0
-    _next_due: float = field(default=math.inf, init=False)  # earliest in `_queue`
+    next_due: float = field(default=math.inf, init=False)  # earliest in `_queue`
     stats: MediumStats = field(default_factory=MediumStats)
 
     def __post_init__(self) -> None:
@@ -101,7 +101,7 @@ class BroadcastMedium:
                     other.collided = True
                     self.stats.collisions += 1
         self._queue.append(entry)
-        self._next_due = min(self._next_due, entry.delivery_time)
+        self.next_due = min(self.next_due, entry.delivery_time)
         self.stats.sent += 1
 
     def poll_deliveries(self, now: float) -> list[PulseMessage]:
@@ -115,11 +115,11 @@ class BroadcastMedium:
         if now < self._last_poll:
             raise ValueError(f"poll at t={now} is before t={self._last_poll}")
         self._last_poll = now
-        if now < self._next_due:
+        if now < self.next_due:
             return []
         due = [e for e in self._queue if e.delivery_time <= now]
         self._queue = [e for e in self._queue if e.delivery_time > now]
-        self._next_due = min((e.delivery_time for e in self._queue), default=math.inf)
+        self.next_due = min((e.delivery_time for e in self._queue), default=math.inf)
         due.sort(key=lambda e: (e.delivery_time, e.msg.sender))
         drop = self.collision_policy == "drop_all"
         out = [e.msg for e in due if not (drop and e.collided)]

@@ -149,17 +149,22 @@ def _layout(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def format_block(columns, rows: int) -> bytes:
     """`rows` CSV lines whose cell j is `columns[j]`'s, exactly as `fmt`
     writes it: a float64 array (NaN is an empty cell), an integer array,
-    or None for a column the model does not define (empty cells)."""
-    x = np.empty((rows, len(columns)))
-    for j, col in enumerate(columns):
-        x[:, j] = np.nan if col is None else col
-    ints = np.array([col is not None and col.dtype.kind != "f" for col in columns])
+    or None for a column the model does not define (empty cells, which
+    are not laid out)."""
+    defined = [col for col in columns if col is not None]
+    x = np.empty((rows, len(defined)))
+    for j, col in enumerate(defined):
+        x[:, j] = col
+    ints = np.array([col.dtype.kind != "f" for col in defined], dtype=bool)
     words, slow = _layout(x)
     slow |= ints & (np.abs(x) >= 1e9)  # `str`, not '%.9g', writes these
-    cells = words.view(np.uint8).reshape(rows, len(columns), 28)
+    cells = words.view(np.uint8).reshape(rows, len(defined), 28)
     for i, j in zip(*np.nonzero(slow)):
-        text = fmt(columns[j][i].item()).encode()
+        text = fmt(defined[j][i].item()).encode()
         cells[i, j, :27] = np.frombuffer(text.ljust(27, b"\0"), np.uint8)
+    if len(defined) < len(columns):
+        words, laid = np.zeros((rows, len(columns), 7), np.uint32), words
+        words[:, np.array([col is not None for col in columns])] = laid
     words[:, :-1, 6] |= _COMMA
     words[:, -1, 6] |= _NEWLINE
     return words.tobytes().translate(None, b"\0")

@@ -41,9 +41,12 @@ def test_tracer_wraps_every_boundary_and_restores_them(tmp_path):
     assert spans["traces.write_csv"]["calls"] == 3
     assert spans["traces.write_summary"]["calls"] == 1
     assert all(path.stat().st_size > 0 for path in result.paths.values())
-    assert spans["engine.step"]["calls"] == 100
+    # Of the run's 100 ticks, the quiet ones are glided over; the rest
+    # each go through one step and its two kernels.
+    steps = spans["engine.step"]["calls"]
+    assert 0 < steps < 100
     for kernel in ("drone.advance_clock", "drone.apply_motion"):
-        assert spans[kernel]["calls"] == 100
+        assert spans[kernel]["calls"] == steps
     # One reception call per delivery, one filter push per recipient.
     delivered = result.summary["medium"]["delivered"]
     assert delivered > 0 and spans["drone.on_pulse_received"]["calls"] == delivered

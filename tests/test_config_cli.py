@@ -307,21 +307,21 @@ class TestCli:
 
     def test_non_finite_phase_met_by_a_pulse_exits_3(self, tmp_path, monkeypatch, capsys):
         # No config makes a phase non-finite within a tick, so a NaN is
-        # written into drone 1's phase as tick 56, the first with a
-        # delivery, advances the clocks.
+        # written into drone 1's phase as it receives the first pulse,
+        # delivered at tick 56.
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(scenario_text("quincunx_ma10") + "scenario.n = 4\n"
                        "scenario.formation = ring\nseed = 2\nduration = 1.0\n")
-        advance, ticks = drone.advance_clock, []
+        receive, calls = drone.on_pulse_received, []
 
-        def poisoned(state, dt):
-            due = advance(state, dt)
-            ticks.append(dt)
-            if len(ticks) == 56:
-                state.phases[1, 0] = math.nan
-            return due
+        def poisoned(recipients, msg, *args):
+            if not calls:
+                me = next(d for d in recipients if d.id == 1)
+                me.state.phases[me.row, 0] = math.nan
+            calls.append(msg)
+            return receive(recipients, msg, *args)
 
-        monkeypatch.setattr(drone, "advance_clock", poisoned)
+        monkeypatch.setattr(drone, "on_pulse_received", poisoned)
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "tick 56 for agent 1" in capsys.readouterr().err
 

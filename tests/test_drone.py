@@ -1,11 +1,15 @@
 """Drone agent and engine: pairwise updates, clocks, motion, events."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swarmpulse import drone as drone_mod
+from swarmpulse import engine as engine_mod
 from swarmpulse import metrics
 from swarmpulse.config import parse_config
 from swarmpulse.drone import (
@@ -553,3 +557,139 @@ class TestDeterminism:
             assert da.theta == db.theta
             assert da.hidden == db.hidden
             assert np.array_equal(da.pos, db.pos)
+
+
+GRID = st.integers(-4, 4).map(lambda v: v / 4)
+# Event times: anywhere, on a tick boundary t1, or just past one, where
+# `step` still applies them (time <= t1 + 1e-12).
+EVENT_TIMES = st.one_of(
+    st.floats(0.0, 3.0),
+    st.integers(0, 600).map(lambda k: k * 0.005),
+    st.integers(0, 600).map(lambda k: k * 0.005 + 5e-13),
+)
+
+
+@st.composite
+def glide_setups(draw):
+    """A small engine, its events, how `run` is called and what its
+    on_sample does. Positions on a 0.25 grid share coordinates, so some
+    commands hold a -0.0."""
+    n = draw(st.integers(1, 12))
+    events = []
+    if draw(st.booleans()):
+        events.append(ScenarioEvent(draw(EVENT_TIMES), "spawn", pos=(draw(GRID), draw(GRID))))
+    if n >= 2 and draw(st.booleans()):
+        events.append(ScenarioEvent(draw(EVENT_TIMES), "despawn", target="nearest_centroid"))
+    duration = draw(st.integers(10, 600)) * 0.005
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "positions": draw(st.lists(st.tuples(GRID, GRID), min_size=n, max_size=n)),
+        "freq_var": draw(st.sampled_from([0.0, 0.5, 8.0])),
+        "base_omega": draw(st.sampled_from([TAU, 1.0])),
+        "airtime": draw(st.sampled_from([0.0, 0.005, 0.05])),
+        "policy": draw(st.sampled_from(["drop_all", "deliver_all"])),
+        "mode": draw(st.sampled_from(["none", "moving_average", "exponential"])),
+        "events": events,
+        "durations": [duration * draw(st.floats(0.0, 1.0)), duration]
+        if draw(st.booleans()) else [duration],
+        "sample_every": draw(st.sampled_from([1, 4, 7])),
+        # on_sample writes a command at this sample (0: never)
+        "poke": draw(st.integers(0, 20)),
+        # 720 floats make glides of at most 9 ticks at n = 12
+        "cap": draw(st.sampled_from([engine_mod.GLIDE_FLOATS, 720])),
+    }
+
+
+def glide_engine(setup):
+    eng = DroneSwarmEngine(
+        params=DroneParams(freq_var=setup["freq_var"]),
+        medium=BroadcastMedium(airtime=setup["airtime"], collision_policy=setup["policy"]),
+        rng=seeded_rng(setup["seed"]),
+        base_omega=setup["base_omega"],
+        filter_factory=lambda: make_filter(setup["mode"], 3, 0.8),
+        events=list(setup["events"]),
+    )
+    for p in setup["positions"]:
+        eng.add_drone(p)
+    return eng
+
+
+def sampler(log, poke):
+    """An on_sample that logs every bit the engine shows it, and at
+    sample `poke` writes a command with a -0.0 through a handle."""
+
+    def on_sample(eng):
+        log.append((eng.tick, eng.state.values.tobytes(), [d.id for d in eng.alive_drones()],
+                    repr(eng.medium.stats)))
+        if len(log) == poke:
+            eng.alive_drones()[-1].command = vec(0.0625, -0.0)
+
+    return on_sample
+
+
+def step_by_step(eng, duration, sample_every, on_sample):
+    """`run` as a loop over `step()`, one tick at a time."""
+    total = int(round(duration / eng.dt))
+    if eng.tick == 0:
+        on_sample(eng)
+    while eng.tick < total:
+        eng.step()
+        if eng.tick % sample_every == 0 or eng.tick == total:
+            on_sample(eng)
+
+
+class TestRunMatchesStep:
+    """`run` glides over quiet ticks; every bit it leaves and shows
+    matches stepping tick by tick."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(glide_setups())
+    @example({
+        # Three drones on y = 0, close enough to repel: every command's
+        # y is -0.0, and idle stretches of 40 ticks pass between pulses.
+        "seed": 1, "positions": [(0.0, 0.0), (0.25, 0.0), (0.5, 0.0)], "freq_var": 0.0,
+        "base_omega": TAU, "airtime": 0.005, "policy": "drop_all", "mode": "none",
+        "events": [], "durations": [3.0], "sample_every": 4, "poke": 0,
+        "cap": engine_mod.GLIDE_FLOATS,
+    })
+    def test_run_equals_step_loop(self, setup):
+        glided, stepped = glide_engine(setup), glide_engine(setup)
+        glided_log, stepped_log = [], []
+        every = setup["sample_every"]
+        with mock.patch.object(engine_mod, "GLIDE_FLOATS", setup["cap"]):
+            for duration in setup["durations"]:
+                glided.run(duration, every, sampler(glided_log, setup["poke"]))
+        for duration in setup["durations"]:
+            step_by_step(stepped, duration, every, sampler(stepped_log, setup["poke"]))
+        assert glided_log == stepped_log
+        assert glided.tick == stepped.tick
+        assert glided.state.values.tobytes() == stepped.state.values.tobytes()
+        assert glided.fire_log == stepped.fire_log
+        assert repr(glided.medium) == repr(stepped.medium)
+        assert glided.rng.bit_generator.state == stepped.rng.bit_generator.state
+
+    def test_negative_zero_phase_and_rate(self):
+        # Per tick, np.mod turns a raw phase of -0.0 + -0.0 into 0.0. The
+        # hidden phases start at 0, so nothing fires before t = 1.
+        engines = []
+        for _ in range(2):
+            eng = build_engine(n=0)
+            for x in (0.0, 1.0):
+                eng.add_drone(vec(x, 0.0), theta=0.0, hidden=0.0)
+            eng.drones[1].omega = -0.0
+            eng.step()
+            eng.state.phases[1, 0] = -0.0
+            engines.append(eng)
+        glided, stepped = engines
+        glided.run(0.5)
+        step_by_step(stepped, 0.5, 1, lambda eng: None)
+        assert glided.state.values.tobytes() == stepped.state.values.tobytes()
+        assert math.copysign(1.0, glided.drones[1].theta) == 1.0
+
+    def test_quiet_ticks_skip_step(self, monkeypatch):
+        eng = build_engine(seed=3, n=5)
+        step, calls = DroneSwarmEngine.step, []
+        monkeypatch.setattr(DroneSwarmEngine, "step", lambda self: calls.append(1) or step(self))
+        eng.run(5.0)
+        assert eng.tick == 1000 and 0 < len(calls) < 500
+
