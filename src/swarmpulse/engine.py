@@ -329,27 +329,18 @@ class DroneSwarmEngine:
                     on_sample(self)
 
     def _ticks_before(self, time: float, slack: float, limit: int) -> int:
-        """How many ticks from now, at most `limit`, end at a t1 with
+        """At most `limit` ticks from now, each ending at a t1 with
         t1 + slack < time."""
-        if not time < math.inf:
-            return limit
-        tick, dt = self.tick, self.dt
-        k = min(limit, max(0, int(time / dt) - tick))
-        while k > 0 and (tick + k) * dt + slack >= time:
-            k -= 1
-        while k < limit and (tick + k + 1) * dt + slack < time:
-            k += 1
-        return k
+        if time < math.inf:
+            limit = min(limit, max(0, int(time / self.dt) - self.tick))
+            while limit > 0 and (self.tick + limit) * self.dt + slack >= time:
+                limit -= 1
+        return limit
 
     def _glide(self, total_ticks: int, sample_every: int, on_sample) -> None:
-        """Advance over the quiet ticks ahead in one array step, or do
-        nothing unless at least MIN_GLIDE of them may follow.
-
-        Every row of the scan carries the bits that `step()` would give
-        tick by tick (see the module docstring). It stops before the
-        first row where a phase reaches 2*pi or the state fails the
-        finiteness check, so `step()` takes that tick.
-        """
+        """Advance over the quiet ticks ahead in one scan (see the module
+        docstring) if at least MIN_GLIDE of them may follow; the tick
+        that ends the scan is left to `step()`."""
         s, tick = self.state, self.tick
         limit = total_ticks - tick
         if limit < MIN_GLIDE or s.rate_dt is None or s.negative_rates or not s.values.size:
@@ -388,20 +379,18 @@ class DroneSwarmEngine:
 
         marks = []
         if on_sample is not None:
-            marks = list(range(tick // sample_every * sample_every + sample_every,
-                               end + 1, sample_every))
+            marks = list(range(tick - tick % sample_every + sample_every, end + 1, sample_every))
             if end == total_ticks and end % sample_every:
                 marks.append(end)
         for j in marks:
-            values[:] = buf[j - tick]
+            row = buf[j - tick]
+            values[:] = row
             self.tick = j
             on_sample(self)
-            if self.tick != j or self.state is not s or s.rate_dt is None or (
-                values.tobytes() != buf[j - tick].tobytes()
-            ):
-                break  # on_sample changed the engine: go on from its state
+            if self.state is not s or s.rate_dt is None or values.tobytes() != row.tobytes():
+                break  # on_sample wrote to the drones: go on from there
         else:
             values[:] = buf[end - tick]
             self.tick = end
-        # The poll that the last tick would have made; nothing is due.
+        # The last tick's poll; nothing is due by then.
         self.medium.poll_deliveries(self.tick * self.dt)
