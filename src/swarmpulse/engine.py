@@ -331,10 +331,8 @@ class DroneSwarmEngine:
     def _ticks_before(self, time: float, slack: float, limit: int) -> int:
         """At most `limit` ticks from now, each ending at a t1 with
         t1 + slack < time."""
-        if time < math.inf:
-            limit = min(limit, max(0, int(time / self.dt) - self.tick))
-            while limit > 0 and (self.tick + limit) * self.dt + slack >= time:
-                limit -= 1
+        while limit > 0 and (self.tick + limit) * self.dt + slack >= time:
+            limit = min(limit - 1, max(0, int(time / self.dt) - self.tick))
         return limit
 
     def _glide(self, total_ticks: int, sample_every: int, on_sample) -> None:
@@ -352,7 +350,7 @@ class DroneSwarmEngine:
         if not room >= MIN_GLIDE * s.top_rate:
             return
         if s.top_rate > 0.0:
-            limit = min(limit, int(room / s.top_rate) + MIN_GLIDE)
+            limit = int(min(limit, room / s.top_rate + MIN_GLIDE))
         limit = min(limit, GLIDE_FLOATS // s.values.size - 1)
         limit = self._ticks_before(self.medium.next_due, 0.0, limit)
         if self._next_event < len(self.events):

@@ -668,6 +668,24 @@ class TestRunMatchesStep:
         assert repr(glided.medium) == repr(stepped.medium)
         assert glided.rng.bit_generator.state == stepped.rng.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "airtime, base_omega, event_time",
+        [(1e308, TAU, 1.0), (0.005, 1e-320, 1.0), (0.005, TAU, 1e308), (0.005, TAU, math.nan)],
+    )
+    def test_far_horizons(self, airtime, base_omega, event_time):
+        # Due times and tick counts too large for an int; a NaN event
+        # never takes effect.
+        setup = {
+            "seed": 0, "positions": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], "freq_var": 0.0,
+            "base_omega": base_omega, "airtime": airtime, "policy": "drop_all", "mode": "none",
+            "events": [ScenarioEvent(event_time, "spawn", pos=(0.5, 0.5))],
+        }
+        glided, stepped = glide_engine(setup), glide_engine(setup)
+        glided.run(3.0)
+        step_by_step(stepped, 3.0, 1, lambda eng: None)
+        assert glided.state.values.tobytes() == stepped.state.values.tobytes()
+        assert glided.fire_log == stepped.fire_log
+
     def test_negative_zero_phase_and_rate(self):
         # Per tick, np.mod turns a raw phase of -0.0 + -0.0 into 0.0. The
         # hidden phases start at 0, so nothing fires before t = 1.
