@@ -645,8 +645,8 @@ class TestRunMatchesStep:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(glide_setups())
     @example({
-        # Three drones on y = 0, close enough to repel: every command's
-        # y is -0.0, and idle stretches of 40 ticks pass between pulses.
+        # Three drones on y = 0, close enough to repel: commands hold a
+        # y of -0.0, and about 100 ticks pass between pulses.
         "seed": 1, "positions": [(0.0, 0.0), (0.25, 0.0), (0.5, 0.0)], "freq_var": 0.0,
         "base_omega": TAU, "airtime": 0.005, "policy": "drop_all", "mode": "none",
         "events": [], "durations": [3.0], "sample_every": 4, "poke": 0,
