@@ -18,7 +18,9 @@ them), and for reference runs at sizes and
 signs where numpy's reductions change their order: `table1_static_sync`
 with a few override lines each (5 agents, below numpy's 8-way unrolled
 sum; 150, above its 128-element pairwise block; spread frequencies
-about a non-zero base; negative k and j). Each variant's
+about a non-zero base; negative k and j; a step count that is not a
+multiple of the sampling interval, so the run ends on an extra final
+sample). Each variant's
 `test_variant_reaches_its_path` shows the run really takes that path.
 """
 
@@ -33,7 +35,7 @@ from swarmpulse import drone
 from swarmpulse.config import parse_config
 from swarmpulse.geometry import TAU, seeded_rng
 from swarmpulse.reference import SwarmParams, init_state
-from swarmpulse.runner import build_drone_engine, run_config
+from swarmpulse.runner import _sample_every, build_drone_engine, run_config
 from swarmpulse.scenarios import SCENARIO_NAMES, scenario_text
 
 HERE = Path(__file__).parent
@@ -85,6 +87,8 @@ VARIANTS = {
     "ref_n150": ["duration = 1.0", "ref.n = 150"],
     "ref_freq_var_omega": ["duration = 30.0", "ref.freq_var = 0.5", "ref.omega = 1.0"],
     "ref_negative_k_j": ["duration = 30.0", "ref.k = -0.5", "ref.j = -0.5"],
+    # 3000 steps, one sample every 33: the last sample is the extra final one.
+    "ref_partial_sample": ["duration = 30.0", "trace_rate = 3.0"],
 }
 
 
@@ -140,6 +144,8 @@ def test_variant_reaches_its_path(name, monkeypatch):
             assert omega.min() < cfg.ref_omega < omega.max() and len(set(omega)) == cfg.n
         elif name == "ref_negative_k_j":
             assert cfg.ref_k < 0.0 and cfg.ref_j < 0.0
+        elif name == "ref_partial_sample":
+            assert round(cfg.duration / cfg.dt) % _sample_every(cfg) != 0
         return
     engine = build_drone_engine(cfg)
     alive = engine.alive_drones()
