@@ -4,7 +4,8 @@
 instead of calling `fmt` per cell, so these tests pin the two to each
 other cell for cell, on every numpy SIMD level the host has, check that
 the row views `RunResult` exposes read back exactly the rows written,
-and bound the memory the writer holds at once.
+and bound the memory the writer holds at once and the memory a
+reference run holds at its peak.
 """
 
 import math
@@ -200,6 +201,31 @@ def test_write_csv_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 4 * WRITE_PEAK_BAR
     assert peak < WRITE_PEAK_BAR, f"peak {peak / 2**20:.1f} MiB"
+
+
+# A reference run holds its trajectory (x, y, vx, vy and theta, 8 bytes
+# each per row) while it steps, plus the pair temporaries of its
+# observables. A runner that copies the trajectory into its own columns
+# holds it two or three times over; one that makes the trace tables
+# views of it stays well under this multiple.
+RUN_PEAK_PER_TRAJECTORY = 2.5
+
+
+def test_reference_run_memory_is_bounded():
+    text = scenario_text("table1_static_sync")
+    run_config(parse_config(text + "duration = 0.1\n"), write=False)  # lazy caches
+    cfg = parse_config(text + "duration = 30.0\n")
+    tracemalloc.start()
+    try:
+        result = run_config(cfg, write=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trajectory = 5 * 8 * len(result.position_rows)
+    assert len(result.position_rows) == 20 * 1501
+    assert peak < RUN_PEAK_PER_TRAJECTORY * trajectory, (
+        f"peak {peak / trajectory:.2f} times the trajectory's {trajectory} bytes"
+    )
 
 
 # -- numpy SIMD levels ---------------------------------------------------
