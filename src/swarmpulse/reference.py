@@ -208,7 +208,12 @@ def _check_finite(step: int, xy: np.ndarray, scalar: np.ndarray) -> None:
 
 @dataclass
 class ReferenceTrace:
-    """Decimated trajectory of a reference run."""
+    """Decimated trajectory of a reference run.
+
+    The runner makes `thetas`, `positions` and `velocities`, reshaped to
+    one row per agent per sample, the run's trace columns without copying
+    them, so they must not be written after the run.
+    """
 
     times: np.ndarray          # (T,)
     positions: np.ndarray      # (T, N, 2)

@@ -4,21 +4,24 @@ One call builds the configured model, simulates it on a single
 timeline, and collects the three trace tables plus a summary dict. The
 same config and seed always produce byte-identical trace files.
 
-All three models share one sample path: a short driver per model steps
-it and hands each sample, as it is taken, to `_Recorder.record`, which
-only appends it to columns (the sample's time and agent count, flat ids,
-phases and hidden phases, the position and velocity arrays, the
-cumulative collision count). `_Recorder.finish` computes every sample's
-observables in one `metrics.sample_metrics` call over those columns and
-joins the columns into one `traces.TraceTable` per trace file, which
-`RunResult` exposes as `phase_rows`, `position_rows` and `metric_rows`:
-views that give `len()` without building rows and yield row tuples when
-iterated. It builds the summary from the last sample's observables
-plus the driver's add-ons (pulse:
-`fires_total`; reference: `max_speed`, `rainbow_correlation`; drone:
-`max_speed`, `medium`, `broadcasts`). `run_config` writes the tables
-through `write_csv` and `write_summary`, looked up as this module's
-globals on every call.
+All three models end in one function, `_result`, which takes a run's
+trace columns (the sample times and agent counts, flat ids, phases and
+hidden phases, the (rows, 2) position and velocity arrays, the
+cumulative collision count per sample) and keeps them as they are: it
+computes every sample's observables in one `metrics.sample_metrics`
+call over them and joins them into one `traces.TraceTable` per trace
+file, which `RunResult` exposes as `phase_rows`, `position_rows` and
+`metric_rows`: views that give `len()` without building rows and yield
+row tuples when iterated. The reference driver hands it
+`run_reference`'s arrays, reshaped to one row per agent per sample, so
+no sample is copied. The pulse and drone drivers step their model and
+append each sample, as it is taken, to a `_Recorder`, whose `finish`
+hands the joined columns to `_result`. The summary holds the last
+sample's observables plus the driver's add-ons (pulse: `fires_total`;
+reference: `max_speed`, `rainbow_correlation`; drone: `max_speed`,
+`medium`, `broadcasts`). `run_config` writes the tables through
+`write_csv` and `write_summary`, looked up as this module's globals on
+every call.
 """
 
 from __future__ import annotations
@@ -112,12 +115,52 @@ def run_config(
     return result
 
 
-class _Recorder:
-    """The trace columns of one run, appended one sample at a time.
+def _result(cfg: ScenarioConfig, name: str, times, counts, ids, theta, hidden, pos, vel,
+            collisions, *, phase_scale: float = 1.0, fire_log=(), final=None,
+            **extra) -> RunResult:
+    """The run's result from its trace columns, which it keeps as they are.
 
-    `phase_scale` converts the phase column to radians for the metrics:
-    1 for models that trace radians, TAU for the pulse model's unit phases.
+    Sample k covers `counts[k]` consecutive rows, all at time `times[k]`.
+    `ids`, `theta` and `hidden` have one entry per row and `pos` and
+    `vel` one (x, y) row per row; `hidden`, or `pos` and `vel`, may be
+    None for a model that does not define them. `collisions` has one
+    entry per sample. `phase_scale` converts `theta` to radians for the
+    metrics: 1 for models that trace radians, TAU for the pulse model's
+    unit phases. `final` extends the summary's `final` block and `extra`
+    adds top-level summary keys.
     """
+    phases = TraceTable(times, counts, [ids, theta, hidden])
+    if pos is not None:
+        positions = TraceTable(times, counts, [ids, *pos.T, *vel.T])
+    else:
+        positions = TraceTable(times, np.zeros(len(times)), [None] * 5)
+    # A scale of 1 is skipped: multiplying would copy the phase column.
+    radians = theta if phase_scale == 1.0 else theta * phase_scale
+    observed = metrics_mod.sample_metrics(counts, radians, pos)
+    metrics = TraceTable(times, np.ones(len(times)), [
+        *(observed.get(key) for key in METRICS_HEADER[1:7]), collisions,
+    ])
+    last = {key: float(col[-1]) for key, col in observed.items()}
+
+    summary = {
+        "scenario": name,
+        "model": cfg.model,
+        "seed": cfg.seed,
+        "duration": cfg.duration,
+        "dt": cfg.dt,
+        "agents_final": int(counts[-1]),
+        "final": {
+            "t": float(times[-1]),
+            **{key: None if v != v else v for key, v in last.items()},
+            **(final or {}),
+        },
+        **extra,
+    }
+    return RunResult(name, cfg, phases, positions, metrics, list(fire_log), summary)
+
+
+class _Recorder:
+    """The trace columns of a stepped run, appended one sample at a time."""
 
     def __init__(self, cfg: ScenarioConfig, name: str, phase_scale: float = 1.0):
         self.cfg = cfg
@@ -148,43 +191,17 @@ class _Recorder:
         self.collisions.append(collisions)
 
     def finish(self, fire_log=(), final=None, **extra) -> RunResult:
-        """The run's result; `final` extends the summary's `final` block
-        and `extra` adds top-level summary keys."""
-        times, counts = self.times, self.counts
-        ids = np.frombuffer(self.ids, dtype=np.int64)
-        theta = np.frombuffer(self.theta)
-        phases = TraceTable(times, counts, [
-            ids, theta, np.frombuffer(self.hidden) if self.hidden else None,
-        ])
-        pos = None
+        """The run's result, through `_result`."""
+        pos = vel = None
         if self.pos:
             pos, vel = np.concatenate(self.pos), np.concatenate(self.vel)
-            positions = TraceTable(times, counts, [ids, *pos.T, *vel.T])
-        else:
-            positions = TraceTable(times, np.zeros(len(times)), [None] * 5)
-        observed = metrics_mod.sample_metrics(counts, theta * self.phase_scale, pos)
-        metrics = TraceTable(times, np.ones(len(times)), [
-            *(observed.get(key) for key in METRICS_HEADER[1:7]),
+        return _result(
+            self.cfg, self.name, self.times, self.counts,
+            np.frombuffer(self.ids, dtype=np.int64), np.frombuffer(self.theta),
+            np.frombuffer(self.hidden) if self.hidden else None, pos, vel,
             np.frombuffer(self.collisions, dtype=np.int64),
-        ])
-        last = {key: float(col[-1]) for key, col in observed.items()}
-
-        cfg = self.cfg
-        summary = {
-            "scenario": self.name,
-            "model": cfg.model,
-            "seed": cfg.seed,
-            "duration": cfg.duration,
-            "dt": cfg.dt,
-            "agents_final": counts[-1],
-            "final": {
-                "t": times[-1],
-                **{key: None if v != v else v for key, v in last.items()},
-                **(final or {}),
-            },
-            **extra,
-        }
-        return RunResult(self.name, cfg, phases, positions, metrics, list(fire_log), summary)
+            phase_scale=self.phase_scale, fire_log=fire_log, final=final, **extra,
+        )
 
 
 # -- pulse ---------------------------------------------------------------
@@ -215,19 +232,17 @@ def _run_reference(cfg: ScenarioConfig, name: str) -> RunResult:
                          freq_var=cfg.ref_freq_var)
     trace = run_reference(params, cfg.duration, cfg.dt, seeded_rng(cfg.seed),
                           base_omega=cfg.ref_omega, trace_every=_sample_every(cfg))
-    rec = _Recorder(cfg, name)
-    ids = range(cfg.n)
-    for t, pos, theta, vel in zip(
-        trace.times.tolist(), trace.positions, trace.thetas, trace.velocities
-    ):
-        rec.record(t, ids, theta.tolist(), pos=pos, vel=vel)
-    return rec.finish(
+    samples, n = trace.thetas.shape
+    return _result(
+        cfg, name, trace.times, np.full(samples, n), np.tile(np.arange(n), samples),
+        trace.thetas.reshape(-1), None, trace.positions.reshape(-1, 2),
+        trace.velocities.reshape(-1, 2), np.zeros(samples, dtype=np.int64),
         final={
             "max_speed": float(np.max(np.linalg.norm(trace.velocities[-1], axis=1))),
             "rainbow_correlation": metrics_mod.rainbow_correlation(
                 trace.positions[-1], trace.thetas[-1]
             ),
-        }
+        },
     )
 
 
