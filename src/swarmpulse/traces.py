@@ -18,11 +18,13 @@ a suffix ("e+XX") and the separator, padded with NUL bytes that one
 `bytes.translate` deletes. No Python string is built per cell. A float's mantissa is m = rint(s),
 s = |x| * 10**(8-E) with E = floor(log10|x|): one multiply by a power
 of ten exact up to 10**22 and within an ulp beyond, so s is within
-3.3e-7 of the exact product. Where s lies in [1e8, 1e9 - 0.5) and at
+3.3e-7 of the exact product. Where s lies in [1e8, 1e9 + 0.5) and at
 least 1e-6 from a rounding tie, m and E are thus what '%.9g' prints,
-whatever `np.log10` returned on this CPU. `fmt` writes every other
-cell: near a tie, a wrong E, |x| outside 1e-280..1e280, an infinity, or
-an integer of 1e9 or more. Zero is "0" or "-0", NaN an empty cell.
+whatever `np.log10` returned on this CPU, once an m of 1e9 (a value
+that rounds up to a power of ten) is carried to m = 1e8 at E + 1.
+`fmt` writes every other cell: near a tie, any other wrong E, |x|
+outside 1e-280..1e280, an infinity, or an integer of 1e9 or more. Zero
+is "0" or "-0", NaN an empty cell.
 
 Cells are numbers or empty and every table has several columns, so no
 line needs CSV quoting.
@@ -125,7 +127,11 @@ def _scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = np.floor(np.log10(s)).astype(np.intp) + _E0
     s *= _SCALE[k]
     m = np.rint(s)
-    slow |= (s < 1e8) | (m >= 1e9) | (np.abs(s - m) > 0.5 - 1e-6)
+    slow |= (s < 1e8) | (m > 1e9) | (np.abs(s - m) > 0.5 - 1e-6)
+    # A mantissa that rounds up to 1e9 is 1e8 in the next exponent's row.
+    carry = m == 1e9
+    m[carry] = 1e8
+    k += carry
     m[slow | (a == 0)] = 0
     return k, m.astype(np.intp), slow
 

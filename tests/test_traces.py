@@ -84,6 +84,25 @@ def test_near_tie_cells_equal_fmt():
     assert cells(values, values.size) == [fmt(v) for v in values.tolist()]
 
 
+def test_cells_below_a_power_of_ten_equal_fmt():
+    powers = 10.0 ** np.arange(-6, 11)
+    # Less than 5e-10 below a power, a value rounds up to it at 9 digits.
+    up = np.concatenate([
+        (powers[:, None] * (1.0 - np.array([1e-12, 3e-11, 3e-10, 4.9e-10]))).ravel(),
+        [0.99999999997, 9.99999999996e-05, 999999999.7],
+    ])
+    # Within an ulp or two of a power np.log10 may return the power's
+    # exponent, a wrong E that `fmt` writes; ties go to `fmt` too.
+    rest = np.concatenate([
+        (powers[:, None] * (1.0 - np.array([0.0, 1e-16, 5e-10, 5.1e-10, 1e-9, 1e-8]))).ravel(),
+        np.nextafter(powers, 0.0),
+    ])
+    values = np.concatenate([up, -up, rest, -rest])
+    assert cells(values, values.size) == [fmt(v) for v in values.tolist()]
+    assert cells(up[-3:], 3) == ["1", "0.0001", "1e+09"]
+    assert not _layout(np.concatenate([up, -up]))[1].any(), "a cell that rounds up went to fmt"
+
+
 @given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1)))
 @example([0, -1, 2**63 - 1, -(2**63), 10**9, 10**9 - 1, -(10**9)])
 def test_int_column_cells_equal_fmt(values):
