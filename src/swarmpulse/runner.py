@@ -15,8 +15,8 @@ file, which `RunResult` exposes as `phase_rows`, `position_rows` and
 row tuples when iterated. The reference driver hands it
 `run_reference`'s arrays, reshaped to one row per agent per sample, so
 no sample is copied. The pulse and drone drivers step their model and
-append each sample, as it is taken, to a `_Recorder`, whose `finish`
-hands the joined columns to `_result`. The summary holds the last
+append each sample, as it is taken, to a `_Recorder`, and hand
+`_result` its joined columns. The summary holds the last
 sample's observables plus the driver's add-ons (pulse: `fires_total`;
 reference: `max_speed`, `rainbow_correlation`; drone: `max_speed`,
 `medium`, `broadcasts`). `run_config` writes the tables through
@@ -162,10 +162,7 @@ def _result(cfg: ScenarioConfig, name: str, times, counts, ids, theta, hidden, p
 class _Recorder:
     """The trace columns of a stepped run, appended one sample at a time."""
 
-    def __init__(self, cfg: ScenarioConfig, name: str, phase_scale: float = 1.0):
-        self.cfg = cfg
-        self.name = name
-        self.phase_scale = phase_scale
+    def __init__(self):
         self.times: list[float] = []
         self.counts: list[int] = []
         self.ids = array("q")
@@ -190,17 +187,15 @@ class _Recorder:
             self.vel.append(vel)
         self.collisions.append(collisions)
 
-    def finish(self, fire_log=(), final=None, **extra) -> RunResult:
-        """The run's result, through `_result`."""
+    def columns(self) -> tuple:
+        """The recorded columns, in `_result`'s order from `times` to `collisions`."""
         pos = vel = None
         if self.pos:
             pos, vel = np.concatenate(self.pos), np.concatenate(self.vel)
-        return _result(
-            self.cfg, self.name, self.times, self.counts,
-            np.frombuffer(self.ids, dtype=np.int64), np.frombuffer(self.theta),
-            np.frombuffer(self.hidden) if self.hidden else None, pos, vel,
-            np.frombuffer(self.collisions, dtype=np.int64),
-            phase_scale=self.phase_scale, fire_log=fire_log, final=final, **extra,
+        return (
+            self.times, self.counts, np.frombuffer(self.ids, dtype=np.int64),
+            np.frombuffer(self.theta), np.frombuffer(self.hidden) if self.hidden else None,
+            pos, vel, np.frombuffer(self.collisions, dtype=np.int64),
         )
 
 
@@ -210,7 +205,7 @@ class _Recorder:
 def _run_pulse(cfg: ScenarioConfig, name: str) -> RunResult:
     rng = seeded_rng(cfg.seed)
     pop = PulsePopulation(list(rng.uniform(0.0, 1.0, cfg.n)), cfg.pulse_k, cfg.pulse_rate)
-    rec = _Recorder(cfg, name, phase_scale=TAU)
+    rec = _Recorder()
     ids = range(cfg.n)
     fire_log: list[tuple[float, int]] = []
 
@@ -221,7 +216,8 @@ def _run_pulse(cfg: ScenarioConfig, name: str) -> RunResult:
         fire_log.extend((event.time, event.osc_id) for event in pop.advance(cfg.dt))
         if step % every == 0 or step == steps:
             rec.record(pop.t, ids, pop.phases)
-    return rec.finish(fire_log, fires_total=len(fire_log))
+    return _result(cfg, name, *rec.columns(), phase_scale=TAU, fire_log=fire_log,
+                   fires_total=len(fire_log))
 
 
 # -- reference swarmalator -------------------------------------------------
@@ -282,7 +278,7 @@ def build_drone_engine(cfg: ScenarioConfig) -> DroneSwarmEngine:
 
 def _run_drone(cfg: ScenarioConfig, name: str) -> RunResult:
     engine = build_drone_engine(cfg)
-    rec = _Recorder(cfg, name)
+    rec = _Recorder()
 
     def on_sample(eng: DroneSwarmEngine) -> None:
         ids, theta, hidden, pos, vel = eng.snapshot()
@@ -300,8 +296,9 @@ def _run_drone(cfg: ScenarioConfig, name: str) -> RunResult:
         )
     else:
         mean_gap = min_gap = jain = None
-    return rec.finish(
-        engine.fire_log,
+    return _result(
+        cfg, name, *rec.columns(),
+        fire_log=engine.fire_log,
         final={"max_speed": final_speed},
         medium={**asdict(engine.medium.stats), "in_flight": engine.medium.in_flight()},
         broadcasts={
