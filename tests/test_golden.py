@@ -14,7 +14,9 @@ with the hidden phase in the payload, negative rates, several hidden
 wraps in one tick, a spawn on top of a live drone, a spawn and a
 despawn with pulses in flight, slow clocks of unequal rates whose quiet
 stretches span thousands of ticks, with a spawn and a despawn inside
-them), and for reference runs at sizes and
+them, and the same slow clocks sampled off the tick grid, so the run
+ends on an extra final sample taken inside a glide), for a pulse run
+that ends on an extra final sample, and for reference runs at sizes and
 signs where numpy's reductions change their order: `table1_static_sync`
 with a few override lines each (5 agents, below numpy's 8-way unrolled
 sum; 150, above its 128-element pairwise block; spread frequencies
@@ -33,6 +35,7 @@ import pytest
 
 from swarmpulse import drone
 from swarmpulse.config import parse_config
+from swarmpulse.engine import DroneSwarmEngine
 from swarmpulse.geometry import TAU, seeded_rng
 from swarmpulse.reference import SwarmParams, init_state
 from swarmpulse.runner import _sample_every, build_drone_engine, run_config
@@ -89,11 +92,16 @@ VARIANTS = {
     "ref_negative_k_j": ["duration = 30.0", "ref.k = -0.5", "ref.j = -0.5"],
     # 3000 steps, one sample every 33: the last sample is the extra final one.
     "ref_partial_sample": ["duration = 30.0", "trace_rate = 3.0"],
+    # 1000 steps, one sample every 17.
+    "pulse_partial_sample": ["duration = 20.0", "trace_rate = 3.0"],
 }
+# 24000 ticks, one sample every 67; the last tick is glided.
+VARIANTS["drone_partial_sample"] = [*VARIANTS["slow_clocks"], "trace_rate = 3.0"]
 
 
 def variant_text(name: str) -> str:
-    base = "table1_static_sync" if name.startswith("ref_") else "quincunx_ma10"
+    base = {"ref": "table1_static_sync", "pulse": "pulse_n9"}.get(name.split("_")[0],
+                                                                 "quincunx_ma10")
     return scenario_text(base) + "\n".join(VARIANTS[name]) + "\n"
 
 
@@ -147,6 +155,10 @@ def test_variant_reaches_its_path(name, monkeypatch):
         elif name == "ref_partial_sample":
             assert round(cfg.duration / cfg.dt) % _sample_every(cfg) != 0
         return
+    if name.startswith("pulse_"):
+        assert cfg.model == "pulse"
+        assert round(cfg.duration / cfg.dt) % _sample_every(cfg) != 0
+        return
     engine = build_drone_engine(cfg)
     alive = engine.alive_drones()
     if name == "crowd_n80_drop_all":
@@ -191,3 +203,11 @@ def test_variant_reaches_its_path(name, monkeypatch):
         # Each event is more than a second from the nearest pulse.
         for event in cfg.events:
             assert any(a + 1.0 < event.time < b - 1.0 for a, b in gaps)
+    elif name == "drone_partial_sample":
+        total = round(cfg.duration / cfg.dt)
+        assert total % _sample_every(cfg) != 0
+        stepped, step = [], DroneSwarmEngine.step
+        monkeypatch.setattr(DroneSwarmEngine, "step",
+                            lambda self: step(self) or stepped.append(self.tick))
+        engine.run(cfg.duration)
+        assert engine.tick == total and stepped and stepped[-1] < total
