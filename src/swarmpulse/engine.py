@@ -51,8 +51,13 @@ state fails the finiteness check, and `step()` takes that tick, so a
 blow-up names the same tick and agent. A glide is tried only when at
 least MIN_GLIDE quiet ticks may follow, judged by the horizon and a
 cheap bound on the ticks to the next wrap. A swarm with a negative rate
-is stepped tick by tick, as `np.mod` wraps a negative raw phase. A
-sample inside a glide sees the state of its row.
+is stepped tick by tick, as `np.mod` wraps a negative raw phase.
+
+A run that samples keeps, per sample, its tick, a copy of its `values`
+row and the cumulative collision count, with the ids of each membership
+segment kept once. A glide has no event or pulse, so its samples share
+ids and count: it keeps them as one block of its buffer's rows, unless
+an on_sample hook must see the state of each in turn.
 
 Determinism is absolute: identical construction and dt yield identical
 trajectories, fire logs, and collision counts. State is checked every
@@ -148,6 +153,9 @@ class DroneSwarmEngine:
         self.events = sorted(self.events, key=lambda e: e.time)
         self._next_event = 0
         self._next_id = 0
+        # Kept samples (see `_keep`).
+        self._ticks, self._collisions = [], []
+        self._segments: list[tuple[DroneArrays, np.ndarray, list[np.ndarray]]] = []
 
     @property
     def t(self) -> float:
@@ -201,16 +209,38 @@ class DroneSwarmEngine:
     def alive_drones(self) -> list[Drone]:
         return list(self._alive)
 
-    def snapshot(self) -> tuple[list[int], list[float], list[float], np.ndarray, np.ndarray]:
-        """(ids, theta, hidden, pos, vel) of the living drones in id order;
-        vel is the held command. Arrays are copies."""
-        s = self.state
+    def _keep(self, ticks, rows: np.ndarray) -> None:
+        """Keep the samples at `ticks`, one row of `values` each (one row may be 1-D),
+        in the segment of the current membership."""
+        if not self._segments or self._segments[-1][0] is not self.state:
+            ids = np.array([d.id for d in self._alive], dtype=np.int64)
+            self._segments.append((self.state, ids, []))
+        self._segments[-1][2].append(rows)
+        self._ticks.extend(ticks)
+        self._collisions.extend([self.medium.stats.collisions] * len(ticks))
+
+    def _sample(self, on_sample) -> None:
+        self._keep((self.tick,), self.state.values.copy())
+        if on_sample is not None:
+            on_sample(self)
+
+    def trace_columns(self) -> tuple:
+        """The kept samples as trace columns: times, agent counts, and per
+        agent row its id, theta, hidden, (x, y) position and (x, y) held
+        command, then each sample's cumulative collision count."""
+        counts, ids, theta, hidden, pos, vel = ([] for _ in range(6))
+        for _, seg_ids, blocks in self._segments:
+            rows, n = np.vstack(blocks), seg_ids.size
+            counts.append(np.full(len(rows), n))
+            ids.append(np.tile(seg_ids, len(rows)))
+            theta.append(rows[:, 4 * n::2])
+            hidden.append(rows[:, 4 * n + 1::2])
+            pos.append(rows[:, :2 * n])
+            vel.append(rows[:, 2 * n:4 * n])
+        flat = [np.concatenate(c, axis=None) for c in (counts, ids, theta, hidden, pos, vel)]
         return (
-            [d.id for d in self._alive],
-            s.phases[:, 0].tolist(),
-            s.phases[:, 1].tolist(),
-            s.pos.copy(),
-            s.command.copy(),
+            np.multiply(self._ticks, self.dt), *flat[:4], flat[4].reshape(-1, 2),
+            flat[5].reshape(-1, 2), np.array(self._collisions, dtype=np.int64),
         )
 
     def _nearest_centroid(self) -> int:
@@ -303,18 +333,20 @@ class DroneSwarmEngine:
         else:
             raise ValueError(f"unknown event kind {event.kind!r}")
 
-    def run(self, duration: float, sample_every: int = 1, on_sample=None) -> None:
+    def run(self, duration: float, sample_every: int | None = None, on_sample=None) -> None:
         """Step until the absolute simulation time `duration`.
 
         Successive calls with increasing values continue the same run
-        (useful for mid-run snapshots). on_sample(engine) fires at t=0
-        and at every `sample_every`-th tick boundary thereafter. It sees
-        the same state as after stepping tick by tick, and what it
-        writes to the drones holds from that tick on.
+        (useful for mid-run snapshots). Given `sample_every`, it samples
+        at t=0, at every `sample_every`-th tick boundary and at its last
+        tick, keeping each for `trace_columns`, then calls
+        on_sample(engine) if given. The hook sees the same state as after
+        stepping tick by tick, and what it writes to the drones holds
+        from that tick on. A run without `sample_every` keeps nothing.
         """
         total_ticks = int(round(duration / self.dt))
-        if on_sample is not None and self.tick == 0:
-            on_sample(self)
+        if sample_every is not None and self.tick == 0:
+            self._sample(on_sample)
         # Each tick's check reports an overflow as NumericBlowup, naming
         # the tick and agent; numpy's warning for it would only repeat it.
         with np.errstate(over="ignore"):
@@ -323,10 +355,10 @@ class DroneSwarmEngine:
                 if self.tick == total_ticks:
                     break
                 self.step()
-                if on_sample is not None and (
+                if sample_every is not None and (
                     self.tick % sample_every == 0 or self.tick == total_ticks
                 ):
-                    on_sample(self)
+                    self._sample(on_sample)
 
     def _ticks_before(self, time: float, slack: float, limit: int) -> int:
         """At most `limit` ticks from now, each ending at a t1 with
@@ -335,7 +367,7 @@ class DroneSwarmEngine:
             limit = min(limit - 1, max(0, int(time / self.dt) - self.tick))
         return limit
 
-    def _glide(self, total_ticks: int, sample_every: int, on_sample) -> None:
+    def _glide(self, total_ticks: int, sample_every: int | None, on_sample) -> None:
         """Advance over the quiet ticks ahead in one scan (see the module
         docstring) if at least MIN_GLIDE of them may follow; the tick
         that ends the scan is left to `step()`."""
@@ -376,15 +408,18 @@ class DroneSwarmEngine:
         end = tick + (int(stop[0]) if stop.size else limit)
 
         marks = []
-        if on_sample is not None:
+        if sample_every is not None:
             marks = list(range(tick - tick % sample_every + sample_every, end + 1, sample_every))
             if end == total_ticks and end % sample_every:
                 marks.append(end)
+        if on_sample is None and marks:
+            self._keep(marks, buf[np.subtract(marks, tick)])
+            marks = []
         for j in marks:
             row = buf[j - tick]
             values[:] = row
             self.tick = j
-            on_sample(self)
+            self._sample(on_sample)
             if self.state is not s or s.rate_dt is None or values.tobytes() != row.tobytes():
                 break  # on_sample wrote to the drones: go on from there
         else:

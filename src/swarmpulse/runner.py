@@ -12,11 +12,11 @@ computes every sample's observables in one `metrics.sample_metrics`
 call over them and joins them into one `traces.TraceTable` per trace
 file, which `RunResult` exposes as `phase_rows`, `position_rows` and
 `metric_rows`: views that give `len()` without building rows and yield
-row tuples when iterated. The reference driver hands it
-`run_reference`'s arrays, reshaped to one row per agent per sample, so
-no sample is copied. The pulse and drone drivers step their model and
-append each sample, as it is taken, to a `_Recorder`, and hand
-`_result` its joined columns. The summary holds the last
+row tuples when iterated. Every driver hands it arrays: the reference
+driver `run_reference`'s, reshaped to one row per agent per sample, so
+no sample is copied; the pulse driver (samples, n) arrays it fills as it
+steps; the drone driver the columns its engine kept while it ran
+(`DroneSwarmEngine.trace_columns`). The summary holds the last
 sample's observables plus the driver's add-ons (pulse: `fires_total`;
 reference: `max_speed`, `rainbow_correlation`; drone: `max_speed`,
 `medium`, `broadcasts`). `run_config` writes the tables through
@@ -27,7 +27,6 @@ every call.
 from __future__ import annotations
 
 import os
-from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -159,65 +158,26 @@ def _result(cfg: ScenarioConfig, name: str, times, counts, ids, theta, hidden, p
     return RunResult(name, cfg, phases, positions, metrics, list(fire_log), summary)
 
 
-class _Recorder:
-    """The trace columns of a stepped run, appended one sample at a time."""
-
-    def __init__(self):
-        self.times: list[float] = []
-        self.counts: list[int] = []
-        self.ids = array("q")
-        self.theta = array("d")
-        self.hidden = array("d")
-        self.pos: list[np.ndarray] = []
-        self.vel: list[np.ndarray] = []
-        self.collisions = array("q")
-
-    def record(self, t, ids, theta, hidden=None, pos=None, vel=None, collisions=0) -> None:
-        """Append one sample; `ids`, `theta`, `hidden`, `pos` and `vel` run
-        over the same agents in the same order, and `pos` and `vel` are
-        (n, 2) arrays that are not written to afterwards."""
-        self.times.append(t)
-        self.counts.append(len(ids))
-        self.ids.extend(ids)
-        self.theta.extend(theta)
-        if hidden is not None:
-            self.hidden.extend(hidden)
-        if pos is not None:
-            self.pos.append(pos)
-            self.vel.append(vel)
-        self.collisions.append(collisions)
-
-    def columns(self) -> tuple:
-        """The recorded columns, in `_result`'s order from `times` to `collisions`."""
-        pos = vel = None
-        if self.pos:
-            pos, vel = np.concatenate(self.pos), np.concatenate(self.vel)
-        return (
-            self.times, self.counts, np.frombuffer(self.ids, dtype=np.int64),
-            np.frombuffer(self.theta), np.frombuffer(self.hidden) if self.hidden else None,
-            pos, vel, np.frombuffer(self.collisions, dtype=np.int64),
-        )
-
-
 # -- pulse ---------------------------------------------------------------
 
 
 def _run_pulse(cfg: ScenarioConfig, name: str) -> RunResult:
     rng = seeded_rng(cfg.seed)
     pop = PulsePopulation(list(rng.uniform(0.0, 1.0, cfg.n)), cfg.pulse_k, cfg.pulse_rate)
-    rec = _Recorder()
-    ids = range(cfg.n)
     fire_log: list[tuple[float, int]] = []
-
-    rec.record(pop.t, ids, pop.phases)
     steps = int(round(cfg.duration / cfg.dt))
     every = _sample_every(cfg)
+    samples = steps // every + 1 + (steps % every != 0)
+    times, thetas = np.empty(samples), np.empty((samples, cfg.n))
+    times[0], thetas[0], sample = pop.t, pop.phases, 1
     for step in range(1, steps + 1):
         fire_log.extend((event.time, event.osc_id) for event in pop.advance(cfg.dt))
         if step % every == 0 or step == steps:
-            rec.record(pop.t, ids, pop.phases)
-    return _result(cfg, name, *rec.columns(), phase_scale=TAU, fire_log=fire_log,
-                   fires_total=len(fire_log))
+            times[sample], thetas[sample] = pop.t, pop.phases
+            sample += 1
+    return _result(cfg, name, times, np.full(samples, cfg.n), np.tile(np.arange(cfg.n), samples),
+                   thetas.reshape(-1), None, None, None, np.zeros(samples, dtype=np.int64),
+                   phase_scale=TAU, fire_log=fire_log, fires_total=len(fire_log))
 
 
 # -- reference swarmalator -------------------------------------------------
@@ -278,17 +238,11 @@ def build_drone_engine(cfg: ScenarioConfig) -> DroneSwarmEngine:
 
 def _run_drone(cfg: ScenarioConfig, name: str) -> RunResult:
     engine = build_drone_engine(cfg)
-    rec = _Recorder()
-
-    def on_sample(eng: DroneSwarmEngine) -> None:
-        ids, theta, hidden, pos, vel = eng.snapshot()
-        rec.record(eng.t, ids, theta, hidden=hidden, pos=pos, vel=vel,
-                   collisions=eng.medium.stats.collisions)
-
-    engine.run(cfg.duration, sample_every=_sample_every(cfg), on_sample=on_sample)
-
+    engine.run(cfg.duration, sample_every=_sample_every(cfg))
+    columns = engine.trace_columns()
+    counts, vel = columns[1], columns[6]
     final_speed = max(
-        (float(np.linalg.norm(v)) for v in engine.snapshot()[4]), default=0.0
+        (float(np.linalg.norm(v)) for v in vel[len(vel) - counts[-1]:]), default=0.0
     )
     if len(engine.fire_log) >= 2:
         mean_gap, min_gap, jain = metrics_mod.broadcast_spacing_stats(
@@ -297,7 +251,7 @@ def _run_drone(cfg: ScenarioConfig, name: str) -> RunResult:
     else:
         mean_gap = min_gap = jain = None
     return _result(
-        cfg, name, *rec.columns(),
+        cfg, name, *columns,
         fire_log=engine.fire_log,
         final={"max_speed": final_speed},
         medium={**asdict(engine.medium.stats), "in_flight": engine.medium.in_flight()},

@@ -620,11 +620,29 @@ def sampler(log, poke):
 
     def on_sample(eng):
         log.append((eng.tick, eng.state.values.tobytes(), [d.id for d in eng.alive_drones()],
-                    repr(eng.medium.stats)))
+                    repr(eng.medium.stats), eng.medium.stats.collisions))
         if len(log) == poke:
             eng.alive_drones()[-1].command = vec(0.0625, -0.0)
 
     return on_sample
+
+
+def logged_samples(log, dt):
+    """A sampler's log as (t, values row bytes, ids, collision count) per sample."""
+    return [(tick * dt, values, ids, collisions) for tick, values, ids, _, collisions in log]
+
+
+def kept_samples(eng):
+    """The engine's kept columns, rebuilt into the same tuples."""
+    times, counts, ids, theta, hidden, pos, vel, collisions = eng.trace_columns()
+    out, a = [], 0
+    for t, n, c in zip(times.tolist(), counts.tolist(), collisions.tolist()):
+        b = a + n
+        row = np.concatenate([pos[a:b], vel[a:b], np.column_stack([theta[a:b], hidden[a:b]])],
+                             axis=None)
+        out.append((t, row.tobytes(), ids[a:b].tolist(), c))
+        a = b
+    return out
 
 
 def step_by_step(eng, duration, sample_every, on_sample):
@@ -653,15 +671,25 @@ class TestRunMatchesStep:
         "cap": engine_mod.GLIDE_FLOATS,
     })
     def test_run_equals_step_loop(self, setup):
-        glided, stepped = glide_engine(setup), glide_engine(setup)
+        glided, stepped, plain = glide_engine(setup), glide_engine(setup), glide_engine(setup)
         glided_log, stepped_log = [], []
         every = setup["sample_every"]
         with mock.patch.object(engine_mod, "GLIDE_FLOATS", setup["cap"]):
             for duration in setup["durations"]:
                 glided.run(duration, every, sampler(glided_log, setup["poke"]))
+                plain.run(duration, every)
         for duration in setup["durations"]:
             step_by_step(stepped, duration, every, sampler(stepped_log, setup["poke"]))
         assert glided_log == stepped_log
+        # With a hook, each sample is kept before the hook sees it; with
+        # none, a glide keeps its samples as one block.
+        assert kept_samples(glided) == logged_samples(glided_log, glided.dt)
+        plain_log = stepped_log
+        if setup["poke"]:
+            unpoked, plain_log = glide_engine(setup), []
+            for duration in setup["durations"]:
+                step_by_step(unpoked, duration, every, sampler(plain_log, 0))
+        assert kept_samples(plain) == logged_samples(plain_log, plain.dt)
         assert glided.tick == stepped.tick
         assert glided.state.values.tobytes() == stepped.state.values.tobytes()
         assert glided.fire_log == stepped.fire_log
@@ -703,6 +731,11 @@ class TestRunMatchesStep:
         step_by_step(stepped, 0.5, 1, lambda eng: None)
         assert glided.state.values.tobytes() == stepped.state.values.tobytes()
         assert math.copysign(1.0, glided.drones[1].theta) == 1.0
+
+    def test_unsampled_run_keeps_nothing(self):
+        eng = build_engine(seed=3, n=5, events=[ScenarioEvent(2.0, "spawn", pos=(0.5, 0.5))])
+        eng.run(5.0)
+        assert eng.tick == 1000 and eng._ticks == [] and eng._segments == []
 
     def test_quiet_ticks_skip_step(self, monkeypatch):
         eng = build_engine(seed=3, n=5)
