@@ -18,8 +18,10 @@ is B / (A + J), where attraction and repulsion balance.
 
 Both rates come from one kernel, `_kernel`, built once per run over a
 (3, N) state (x plane, y plane, theta) and filling (3, N) rates in
-place, on buffers it allocates once. Pair offsets are source-major,
-offsets[k, j, i] = x_j[k] - x_i[k], so the velocity sum over j runs over
+place, on buffers it allocates once. One subtract gives every pair
+difference of all three state rows, diffs[k, i, j] = s_j[k] - s_i[k],
+so diffs[2] holds the phase differences. The velocity terms are written
+through a transposed view, work[k, j, i], so the sum over j runs over
 the outer axis and adds the pairs in j order, one after another; a sum
 along contiguous rows would be pairwise and round differently. Agents
 closer than EPSILON_DIST get a random pair direction, drawn once per
@@ -77,44 +79,48 @@ def _kernel(params: SwarmParams, omega: np.ndarray, rng: np.random.Generator | N
     geometry.COORD_LIMIT; otherwise a pair distance that overflows is not
     a distance, and both rates of the agents in that pair become NaN."""
     n = state.shape[1]
-    rates, offsets, work = np.empty((3, n)), np.empty((2, n, n)), np.empty((2, n, n))
-    dist, pd, coeff, tmp = (np.empty((n, n)) for _ in range(4))
-    near = np.empty((n, n), dtype=bool)
+    rates, diffs, work, trig = (np.empty(s) for s in ((3, n), (3, n, n), (2, n, n), (2, n, n)))
+    dist, tmp = np.empty((n, n)), np.empty((n, n))
+    offsets, pd, coeff, coupling = diffs[:2], diffs[2], trig[0], trig[1]
+    work_t = work.transpose(0, 2, 1)
     dist_diagonal, coeff_diagonal = (a.reshape(-1)[:: n + 1] for a in (dist, coeff))
-    xy, theta, vel, dtheta = state[:2], state[2], rates[:2], rates[2]
-    p = params
+    vel, dtheta = rates[:2], rates[2]
+    a, j, b, k_n = params.a, params.j, params.b, params.k / n
 
     def step_rates(bounded: bool) -> np.ndarray:
-        np.subtract(xy[:, :, None], xy[:, None, :], out=offsets)
+        np.subtract(state[:, None, :], state[:, :, None], out=diffs)
         np.multiply(offsets, offsets, out=work)
         np.sqrt(np.add(work[0], work[1], out=dist), out=dist)
         # Held at 1 to keep divisions clean; diagonal terms are zero in every sum.
         dist_diagonal[:] = 1.0
-        if np.less_equal(dist, EPSILON_DIST, out=near).any():
+        # fmin skips NaN, so a NaN distance cannot hide a near pair.
+        if np.fmin.reduce(dist, axis=None) <= EPSILON_DIST:
             if rng is None:
                 raise ValueError(
                     "coincident agents and no RNG provided for the direction fallback"
                 )
             # An antisymmetric random direction per coincident pair, drawn
             # in row-major order, with the distance held at the floor.
-            for i, j in zip(*np.nonzero(np.triu(near))):
+            for p, q in zip(*np.nonzero(np.triu(dist <= EPSILON_DIST))):
                 u = random_unit(rng)
-                offsets[:, j, i] = u * EPSILON_DIST
-                offsets[:, i, j] = -u * EPSILON_DIST
-                dist[i, j] = dist[j, i] = EPSILON_DIST
+                offsets[:, p, q] = u * EPSILON_DIST
+                offsets[:, q, p] = -u * EPSILON_DIST
+                dist[p, q] = dist[q, p] = EPSILON_DIST
         if not bounded:
             dist[np.isinf(dist)] = np.nan
 
-        np.subtract(theta[None, :], theta[:, None], out=pd)
-        np.add(p.a, np.multiply(p.j, np.cos(pd, out=coeff), out=coeff), out=coeff)
-        np.divide(coeff, dist, out=coeff)
-        np.subtract(coeff, np.divide(p.b, np.multiply(dist, dist, out=tmp), out=tmp), out=coeff)
+        np.add(a, np.multiply(j, np.cos(pd, out=coeff), out=coeff), out=coeff)
+        np.sin(pd, out=coupling)
+        np.divide(trig, dist, out=trig)
+        np.subtract(coeff, np.divide(b, np.multiply(dist, dist, out=tmp), out=tmp), out=coeff)
         coeff_diagonal[:] = 0.0
-        np.add.reduce(np.multiply(coeff.T, offsets, out=work), axis=1, out=vel)
+        # Written through the transposed view, so work[k, j, i] is the term
+        # of pair (i, j) and the sum over axis 1 adds the j in sequence.
+        np.multiply(coeff, offsets, out=work_t)
+        np.add.reduce(work, axis=1, out=vel)
         np.divide(vel, n, out=vel)
-        np.divide(np.sin(pd, out=pd), dist, out=pd)
-        np.add.reduce(pd, axis=1, out=dtheta)
-        np.add(omega, np.multiply(p.k / n, dtheta, out=dtheta), out=dtheta)
+        np.add.reduce(coupling, axis=1, out=dtheta)
+        np.add(omega, np.multiply(k_n, dtheta, out=dtheta), out=dtheta)
         return rates
 
     return step_rates
@@ -253,6 +259,7 @@ def run_reference(
     positions, vels = np.empty((samples, n, 2)), np.empty((samples, n, 2))
     x = np.array((*pos.T, theta))
     step_rates, move, flat_x = _kernel(params, omega, rng, x), np.empty((3, n)), x.reshape(-1)
+    theta = x[2]
     sample = 0
     # Each step's checks report a non-finite or overflowing state as
     # NumericBlowup, naming the step and agent; numpy's warnings for it
@@ -267,8 +274,11 @@ def run_reference(
                 # are all small; anything else is scanned agent by agent.
                 bounded = flat_x.dot(flat_x) < SQUARES_LIMIT
                 if not bounded:
-                    _check_finite(step, x[:2].T, x[2])
-                _wrap(x[2])
+                    _check_finite(step, x[:2].T, theta)
+                # `_wrap`, inlined to save a call per step.
+                np.mod(theta, TAU, out=theta)
+                if np.maximum.reduce(theta) >= TAU:
+                    theta[theta >= TAU] -= TAU
                 step_rates(bounded)
             # The initial rates count as step 1's, the first step to integrate them.
             if not flat_rates.dot(flat_rates) < math.inf:
@@ -276,7 +286,7 @@ def run_reference(
             if step % trace_every == 0 or step == steps:
                 times[sample] = step * dt
                 positions[sample] = x[:2].T
-                thetas[sample] = x[2]
+                thetas[sample] = theta
                 vels[sample] = rates[:2].T
                 sample += 1
 
