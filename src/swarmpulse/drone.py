@@ -330,19 +330,15 @@ def spawn(
     params: DroneParams,
     base_omega: float,
     filter_factory,
-    theta: float | None = None,
-    hidden: float | None = None,
 ) -> Drone:
     """Create a drone, on a one-row state of its own, with seeded random
     phases and frequencies.
 
     Draw order is fixed (theta, hidden, omega, hidden_omega) so spawns
-    are reproducible. Explicit theta/hidden override the drawn value;
-    the draw still happens either way, keeping the stream aligned
-    between runs that differ only in overrides.
+    are reproducible.
     """
-    drawn_theta = rng.uniform(0.0, TAU)
-    drawn_hidden = rng.uniform(0.0, TAU)
+    theta = rng.uniform(0.0, TAU)
+    hidden = rng.uniform(0.0, TAU)
     if params.freq_var > 0.0:
         omega = rng.uniform(base_omega - params.freq_var, base_omega + params.freq_var)
         hidden_omega = rng.uniform(
@@ -351,13 +347,5 @@ def spawn(
     else:
         omega = base_omega
         hidden_omega = base_omega
-    state = DroneArrays(
-        pos,
-        (0.0, 0.0),
-        (
-            drawn_theta if theta is None else wrap_angle(theta),
-            drawn_hidden if hidden is None else wrap_angle(hidden),
-        ),
-        (omega, hidden_omega),
-    )
+    state = DroneArrays(pos, (0.0, 0.0), (theta, hidden), (omega, hidden_omega))
     return Drone(drone_id, state, filter=filter_factory())

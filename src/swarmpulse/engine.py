@@ -23,6 +23,9 @@ a tick boundary t, after that tick's deliveries, so:
 - a pulse already sent by a drone that has left still reaches the
   others.
 
+Drones get ids in spawn order, 0 first. A departed drone keeps its id,
+so no id is ever reused.
+
 The living drones' state is one `drone.DroneArrays`, one row per drone
 in ascending id order: `pos` and `command` (n, 2), `phases` (n, 2) as
 (theta, hidden), `rates` (n, 2) as (omega, hidden_omega). It is rebuilt
@@ -56,8 +59,7 @@ is stepped tick by tick, as `np.mod` wraps a negative raw phase.
 A run that samples keeps, per sample, its tick, a copy of its `values`
 row and the cumulative collision count, with the ids of each membership
 segment kept once. A glide has no event or pulse, so its samples share
-ids and count: it keeps them as one block of its buffer's rows, unless
-an on_sample hook must see the state of each in turn.
+ids and count: it keeps them as one block of its buffer's rows.
 
 Determinism is absolute: identical construction and dt yield identical
 trajectories, fire logs, and collision counts. State is checked every
@@ -152,7 +154,6 @@ class DroneSwarmEngine:
         self.fire_log: list[tuple[float, int]] = []
         self.events = sorted(self.events, key=lambda e: e.time)
         self._next_event = 0
-        self._next_id = 0
         # Kept samples (see `_keep`).
         self._ticks, self._collisions = [], []
         self._segments: list[tuple[DroneArrays, np.ndarray, list[np.ndarray]]] = []
@@ -163,27 +164,10 @@ class DroneSwarmEngine:
 
     # -- membership ----------------------------------------------------
 
-    def add_drone(
-        self,
-        pos,
-        theta: float | None = None,
-        hidden: float | None = None,
-        drone_id: int | None = None,
-    ) -> Drone:
-        if drone_id is None:
-            drone_id = self._next_id
-        if drone_id in self.drones:
-            raise ValueError(f"duplicate drone id {drone_id}")
-        self._next_id = max(self._next_id, drone_id) + 1
+    def add_drone(self, pos) -> Drone:
+        drone_id = len(self.drones)
         d = drone_mod.spawn(
-            drone_id,
-            pos,
-            self.rng,
-            self.params,
-            self.base_omega,
-            self.filter_factory,
-            theta=theta,
-            hidden=hidden,
+            drone_id, pos, self.rng, self.params, self.base_omega, self.filter_factory
         )
         self.drones[drone_id] = d
         self._rebuild()
@@ -200,7 +184,7 @@ class DroneSwarmEngine:
 
     def _rebuild(self) -> None:
         """Gather the living drones' rows, in id order, into fresh arrays."""
-        alive = [self.drones[i] for i in sorted(self.drones) if self.drones[i].alive]
+        alive = [d for d in self.drones.values() if d.alive]
         state = DroneArrays.gather(alive)
         for row, d in enumerate(alive):
             d.state, d.row = state, row
@@ -218,11 +202,6 @@ class DroneSwarmEngine:
         self._segments[-1][2].append(rows)
         self._ticks.extend(ticks)
         self._collisions.extend([self.medium.stats.collisions] * len(ticks))
-
-    def _sample(self, on_sample) -> None:
-        self._keep((self.tick,), self.state.values.copy())
-        if on_sample is not None:
-            on_sample(self)
 
     def trace_columns(self) -> tuple:
         """The kept samples as trace columns: times, agent counts, and per
@@ -333,32 +312,31 @@ class DroneSwarmEngine:
         else:
             raise ValueError(f"unknown event kind {event.kind!r}")
 
-    def run(self, duration: float, sample_every: int | None = None, on_sample=None) -> None:
+    def run(self, duration: float, sample_every: int | None = None) -> None:
         """Step until the absolute simulation time `duration`.
 
-        Successive calls with increasing values continue the same run
-        (useful for mid-run snapshots). Given `sample_every`, it samples
-        at t=0, at every `sample_every`-th tick boundary and at its last
-        tick, keeping each for `trace_columns`, then calls
-        on_sample(engine) if given. The hook sees the same state as after
-        stepping tick by tick, and what it writes to the drones holds
-        from that tick on. A run without `sample_every` keeps nothing.
+        Successive calls with increasing values continue the same run,
+        so to read or write the drones part-way, split the run into
+        several calls. Given `sample_every`, it samples at t=0, at every
+        `sample_every`-th tick boundary and at its last tick, keeping
+        each for `trace_columns`. A run without `sample_every` keeps
+        nothing.
         """
         total_ticks = int(round(duration / self.dt))
         if sample_every is not None and self.tick == 0:
-            self._sample(on_sample)
+            self._keep((0,), self.state.values.copy())
         # Each tick's check reports an overflow as NumericBlowup, naming
         # the tick and agent; numpy's warning for it would only repeat it.
         with np.errstate(over="ignore"):
             while self.tick < total_ticks:
-                self._glide(total_ticks, sample_every, on_sample)
+                self._glide(total_ticks, sample_every)
                 if self.tick == total_ticks:
                     break
                 self.step()
                 if sample_every is not None and (
                     self.tick % sample_every == 0 or self.tick == total_ticks
                 ):
-                    self._sample(on_sample)
+                    self._keep((self.tick,), self.state.values.copy())
 
     def _ticks_before(self, time: float, slack: float, limit: int) -> int:
         """At most `limit` ticks from now, each ending at a t1 with
@@ -367,7 +345,7 @@ class DroneSwarmEngine:
             limit = min(limit - 1, max(0, int(time / self.dt) - self.tick))
         return limit
 
-    def _glide(self, total_ticks: int, sample_every: int | None, on_sample) -> None:
+    def _glide(self, total_ticks: int, sample_every: int | None) -> None:
         """Advance over the quiet ticks ahead in one scan (see the module
         docstring) if at least MIN_GLIDE of them may follow; the tick
         that ends the scan is left to `step()`."""
@@ -407,23 +385,13 @@ class DroneSwarmEngine:
         stop = np.flatnonzero(~quiet)
         end = tick + (int(stop[0]) if stop.size else limit)
 
-        marks = []
         if sample_every is not None:
             marks = list(range(tick - tick % sample_every + sample_every, end + 1, sample_every))
             if end == total_ticks and end % sample_every:
                 marks.append(end)
-        if on_sample is None and marks:
-            self._keep(marks, buf[np.subtract(marks, tick)])
-            marks = []
-        for j in marks:
-            row = buf[j - tick]
-            values[:] = row
-            self.tick = j
-            self._sample(on_sample)
-            if self.state is not s or s.rate_dt is None or values.tobytes() != row.tobytes():
-                break  # on_sample wrote to the drones: go on from there
-        else:
-            values[:] = buf[end - tick]
-            self.tick = end
+            if marks:
+                self._keep(marks, buf[np.subtract(marks, tick)])
+        values[:] = buf[end - tick]
+        self.tick = end
         # The last tick's poll; nothing is due by then.
         self.medium.poll_deliveries(self.tick * self.dt)

@@ -27,6 +27,7 @@ from swarmpulse.runner import build_drone_engine
 from swarmpulse.scenarios import scenario_text
 from swarmpulse.smoothing import IdentityFilter, make_filter
 
+
 TABLE_PARAMS = DroneParams(k_visible=0.1, k_hidden=-0.1, j=0.8, a=1.0, b=3.0)
 
 
@@ -231,10 +232,14 @@ class TestMotion:
 
 
 class TestEngineInvariants:
-    def test_duplicate_id_rejected(self):
-        eng = build_engine(n=1, positions=[(0.0, 0.0)])
-        with pytest.raises(ValueError):
-            eng.add_drone((1.0, 1.0), drone_id=0)
+    def test_ids_follow_spawn_order_and_are_never_reused(self):
+        eng = build_engine(n=3)
+        eng.despawn(2)
+        assert eng.add_drone((1.0, 1.0)).id == 3
+        eng.despawn(0)
+        assert eng.add_drone((1.0, 1.0)).id == 4
+        assert list(eng.drones) == [0, 1, 2, 3, 4]
+        assert [d.id for d in eng.alive_drones()] == [1, 3, 4]
 
     def test_uncoupled_spawned_drone_keeps_offset(self):
         eng = build_engine(n=3, params=DroneParams(k_visible=0.0, k_hidden=-0.1))
@@ -414,7 +419,7 @@ class TestRoster:
         # others' hidden phases start at 0, so they fire only at t = 1.
         eng = build_engine(n=0, airtime=0.05)
         for i in range(n):
-            eng.add_drone(vec(float(i), 0.0), hidden=TAU * (1.0 - 0.011) if i == 0 else 0.0)
+            eng.add_drone(vec(float(i), 0.0)).hidden = TAU * (1.0 - 0.011) if i == 0 else 0.0
         eng.run(0.03)
         assert eng.fire_log == [(pytest.approx(0.011), 0)] and eng.medium.in_flight() == 1
         return eng
@@ -571,9 +576,8 @@ EVENT_TIMES = st.one_of(
 
 @st.composite
 def glide_setups(draw):
-    """A small engine, its events, how `run` is called and what its
-    on_sample does. Positions on a 0.25 grid share coordinates, so some
-    commands hold a -0.0."""
+    """A small engine, its events, and how `run` is called. Positions on
+    a 0.25 grid share coordinates, so some commands hold a -0.0."""
     n = draw(st.integers(1, 12))
     events = []
     if draw(st.booleans()):
@@ -593,8 +597,8 @@ def glide_setups(draw):
         "durations": [duration * draw(st.floats(0.0, 1.0)), duration]
         if draw(st.booleans()) else [duration],
         "sample_every": draw(st.sampled_from([1, 4, 7])),
-        # on_sample writes a command at this sample (0: never)
-        "poke": draw(st.integers(0, 20)),
+        # Between split calls, write a command with a -0.0 through a handle.
+        "poke": draw(st.booleans()),
         # 720 floats make glides of at most 9 ticks at n = 12
         "cap": draw(st.sampled_from([engine_mod.GLIDE_FLOATS, 720])),
     }
@@ -614,26 +618,9 @@ def glide_engine(setup):
     return eng
 
 
-def sampler(log, poke):
-    """An on_sample that logs every bit the engine shows it, and at
-    sample `poke` writes a command with a -0.0 through a handle."""
-
-    def on_sample(eng):
-        log.append((eng.tick, eng.state.values.tobytes(), [d.id for d in eng.alive_drones()],
-                    repr(eng.medium.stats), eng.medium.stats.collisions))
-        if len(log) == poke:
-            eng.alive_drones()[-1].command = vec(0.0625, -0.0)
-
-    return on_sample
-
-
-def logged_samples(log, dt):
-    """A sampler's log as (t, values row bytes, ids, collision count) per sample."""
-    return [(tick * dt, values, ids, collisions) for tick, values, ids, _, collisions in log]
-
-
 def kept_samples(eng):
-    """The engine's kept columns, rebuilt into the same tuples."""
+    """The engine's kept columns as (t, values row bytes, ids, collision
+    count) per sample, as `step_by_step` logs them."""
     times, counts, ids, theta, hidden, pos, vel, collisions = eng.trace_columns()
     out, a = [], 0
     for t, n, c in zip(times.tolist(), counts.tolist(), collisions.tolist()):
@@ -645,15 +632,23 @@ def kept_samples(eng):
     return out
 
 
-def step_by_step(eng, duration, sample_every, on_sample):
-    """`run` as a loop over `step()`, one tick at a time."""
+def step_by_step(eng, duration, sample_every=1):
+    """`run` as a loop over `step()`, one tick at a time. Returns its
+    samples as (t, values row bytes, ids, collision count)."""
+    log = []
+
+    def sample():
+        log.append((eng.t, eng.state.values.tobytes(), [d.id for d in eng.alive_drones()],
+                    eng.medium.stats.collisions))
+
     total = int(round(duration / eng.dt))
     if eng.tick == 0:
-        on_sample(eng)
+        sample()
     while eng.tick < total:
         eng.step()
         if eng.tick % sample_every == 0 or eng.tick == total:
-            on_sample(eng)
+            sample()
+    return log
 
 
 class TestRunMatchesStep:
@@ -667,29 +662,21 @@ class TestRunMatchesStep:
         # y of -0.0, and about 100 ticks pass between pulses.
         "seed": 1, "positions": [(0.0, 0.0), (0.25, 0.0), (0.5, 0.0)], "freq_var": 0.0,
         "base_omega": TAU, "airtime": 0.005, "policy": "drop_all", "mode": "none",
-        "events": [], "durations": [3.0], "sample_every": 4, "poke": 0,
+        "events": [], "durations": [3.0], "sample_every": 4, "poke": False,
         "cap": engine_mod.GLIDE_FLOATS,
     })
     def test_run_equals_step_loop(self, setup):
-        glided, stepped, plain = glide_engine(setup), glide_engine(setup), glide_engine(setup)
-        glided_log, stepped_log = [], []
+        glided, stepped = glide_engine(setup), glide_engine(setup)
+        stepped_log = []
         every = setup["sample_every"]
         with mock.patch.object(engine_mod, "GLIDE_FLOATS", setup["cap"]):
-            for duration in setup["durations"]:
-                glided.run(duration, every, sampler(glided_log, setup["poke"]))
-                plain.run(duration, every)
-        for duration in setup["durations"]:
-            step_by_step(stepped, duration, every, sampler(stepped_log, setup["poke"]))
-        assert glided_log == stepped_log
-        # With a hook, each sample is kept before the hook sees it; with
-        # none, a glide keeps its samples as one block.
-        assert kept_samples(glided) == logged_samples(glided_log, glided.dt)
-        plain_log = stepped_log
-        if setup["poke"]:
-            unpoked, plain_log = glide_engine(setup), []
-            for duration in setup["durations"]:
-                step_by_step(unpoked, duration, every, sampler(plain_log, 0))
-        assert kept_samples(plain) == logged_samples(plain_log, plain.dt)
+            for call, duration in enumerate(setup["durations"]):
+                if call and setup["poke"]:
+                    for eng in (glided, stepped):
+                        eng.alive_drones()[-1].command = vec(0.0625, -0.0)
+                glided.run(duration, every)
+                stepped_log += step_by_step(stepped, duration, every)
+        assert kept_samples(glided) == stepped_log
         assert glided.tick == stepped.tick
         assert glided.state.values.tobytes() == stepped.state.values.tobytes()
         assert glided.fire_log == stepped.fire_log
@@ -710,7 +697,7 @@ class TestRunMatchesStep:
         }
         glided, stepped = glide_engine(setup), glide_engine(setup)
         glided.run(3.0)
-        step_by_step(stepped, 3.0, 1, lambda eng: None)
+        step_by_step(stepped, 3.0)
         assert glided.state.values.tobytes() == stepped.state.values.tobytes()
         assert glided.fire_log == stepped.fire_log
 
@@ -721,14 +708,15 @@ class TestRunMatchesStep:
         for _ in range(2):
             eng = build_engine(n=0)
             for x in (0.0, 1.0):
-                eng.add_drone(vec(x, 0.0), theta=0.0, hidden=0.0)
+                d = eng.add_drone(vec(x, 0.0))
+                d.theta = d.hidden = 0.0
             eng.drones[1].omega = -0.0
             eng.step()
             eng.state.phases[1, 0] = -0.0
             engines.append(eng)
         glided, stepped = engines
         glided.run(0.5)
-        step_by_step(stepped, 0.5, 1, lambda eng: None)
+        step_by_step(stepped, 0.5)
         assert glided.state.values.tobytes() == stepped.state.values.tobytes()
         assert math.copysign(1.0, glided.drones[1].theta) == 1.0
 
