@@ -11,7 +11,7 @@ to run them reproducibly:
                  with dual-phase broadcast staggering and command smoothing.
 
 `metrics` provides the observables (order parameter, spacing statistics,
-formation error, broadcast fairness), and `cli`/`runner`/`scenarios`
+rainbow correlation, broadcast fairness), and `cli`/`runner`/`scenarios`
 expose bundled, fully seeded scenario runs that write plot-ready CSVs.
 """
 

@@ -62,18 +62,6 @@ def wrap_angle(raw: float) -> float:
     return wrapped
 
 
-def circ_diff(a: float, b: float) -> float:
-    """Shortest signed angular distance from b to a, in (-pi, pi].
-
-    Antisymmetric except at exactly pi, where the tie resolves to +pi so
-    the result is totally ordered and reproducible.
-    """
-    d = (a - b) % TAU
-    if d > math.pi:
-        d -= TAU
-    return d
-
-
 def wrap_unit_phase(raw: float) -> float:
     """Wrap a dimensionless phase into [0, 1)."""
     _require_finite(raw, "unit phase")

@@ -3,8 +3,8 @@
 Everything here is a pure function of a state snapshot (phases,
 positions, or fire times), safe to call from anywhere. These are the
 quantities the bundled scenarios trace and the acceptance checks assert
-on: phase synchrony, inter-agent spacing, how closely the swarm matches
-a regular polygon, and how evenly broadcasts are spaced in time.
+on: phase synchrony, inter-agent spacing, rainbow correlation, and how
+evenly broadcasts are spaced in time.
 
 The traced observables (order parameter, largest phase difference and
 the four spacing statistics) have one kernel, `sample_metrics`, which
@@ -21,7 +21,6 @@ for i < j only, because the other orientation can round differently.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -29,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TAU
-
-TARGET_POLYGONS = {"pentagon_ring": 5, "square_ring": 4}
 
 # Pairs per block of `sample_metrics`: enough 5- to 20-agent samples per
 # block to amortise numpy's per-call cost, and temporaries of about
@@ -54,15 +51,6 @@ def order_parameter(thetas) -> float:
     if thetas.size == 0:
         raise ValueError("order parameter of an empty phase list")
     return float(sample_metrics([thetas.size], thetas)["order_param"][0])
-
-
-def mean_phase(thetas) -> float:
-    """Angle of the mean unit phasor, in [0, 2*pi)."""
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.size == 0:
-        raise ValueError("mean phase of an empty phase list")
-    angle = cmath.phase(complex(np.mean(np.exp(1j * thetas))))
-    return angle % (2.0 * math.pi)
 
 
 @functools.cache
@@ -140,8 +128,8 @@ def _block_metrics(out, block, base, n, theta, pos) -> None:
         z = np.mean(np.exp(1j * theta[base + np.arange(n)]), axis=1)
         out["order_param"][block] = np.hypot(z.real, z.imag)
         if n >= 2:
-            # |circ_diff|: d up to pi, else TAU - d (exactly -(d - TAU)),
-            # and the smaller of the two is always the one circ_diff picks.
+            # The shortest arc between the two phases: d if d <= pi, else
+            # TAU - d (exactly -(d - TAU)), which np.minimum picks.
             d = np.mod(theta[base + i] - theta[base + j], TAU)
             out["max_pair_diff"][block] = np.minimum(d, TAU - d).max(axis=1)
     if pos is not None and n >= 2:
@@ -201,36 +189,3 @@ def broadcast_spacing_stats(fire_times) -> tuple[float, float, float]:
     else:
         jain = float(np.sum(gaps)) ** 2 / (len(gaps) * sq)
     return float(np.mean(gaps)), float(np.min(gaps)), jain
-
-
-def formation_error(positions, target: str) -> float:
-    """RMS residual of the swarm against a regular polygon.
-
-    The polygon's circumradius is fitted as the mean distance from the
-    centroid; points are matched to vertices in angular order; the
-    rotation+translation that minimises the residual is applied in
-    closed form. Zero means the positions are exactly the regular
-    polygon up to rigid motion.
-    """
-    if target not in TARGET_POLYGONS:
-        raise ValueError(f"unknown formation target {target!r}")
-    n = TARGET_POLYGONS[target]
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.shape[0] != n:
-        raise ValueError(
-            f"{target} expects {n} agents, got {positions.shape[0]}"
-        )
-    centred = positions - positions.mean(axis=0)
-    radius = float(np.mean(np.linalg.norm(centred, axis=1)))
-
-    order = np.argsort(np.arctan2(centred[:, 1], centred[:, 0]), kind="stable")
-    x = centred[order]
-    angles = 2.0 * math.pi * np.arange(n) / n
-    y = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-    dots = float(np.sum(x * y))
-    crosses = float(np.sum(x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]))
-    phi = math.atan2(crosses, dots)
-    c, s = math.cos(phi), math.sin(phi)
-    rotated = x @ np.array([[c, s], [-s, c]])
-    return float(np.sqrt(np.mean(np.sum((rotated - y) ** 2, axis=1))))

@@ -131,41 +131,3 @@ class PulsePopulation:
                 fired_now.update(e.osc_id for e in cascade_events)
                 events.extend(cascade_events)
         return events
-
-
-def run_to_sync(pop: PulsePopulation, max_time: float, tol: float) -> float | None:
-    """Simulate until the phase spread drops below tol at a fire instant.
-
-    Returns the elapsed time at which synchrony was first observed, or
-    None on timeout. tol is a circular unit-phase distance in (0, 0.5).
-    """
-    if not 0.0 < tol < 0.5:
-        raise ValueError(f"tol must be in (0, 0.5), got {tol}")
-    if pop.n <= 1:
-        return 0.0
-    start = pop.t
-    period = 1.0 / pop.rate
-    step = period / 4.0
-    while pop.t - start < max_time:
-        events = pop.advance(min(step, max_time - (pop.t - start)))
-        if events and pop.spread() < tol:
-            return pop.t - start
-    return None
-
-
-def min_spread_over(pop: PulsePopulation, duration: float) -> float:
-    """Smallest spread observed at any fire instant over `duration`.
-
-    Starts from the current spread so an uncoupled population reports
-    its (constant) initial value.
-    """
-    lowest = pop.spread()
-    elapsed = 0.0
-    step = 0.25 / pop.rate
-    while elapsed < duration:
-        chunk = min(step, duration - elapsed)
-        events = pop.advance(chunk)
-        elapsed += chunk
-        if events:
-            lowest = min(lowest, pop.spread())
-    return lowest

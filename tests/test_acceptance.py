@@ -34,12 +34,14 @@ import pytest
 from swarmpulse import metrics
 from swarmpulse.config import parse_config
 from swarmpulse.drone import DroneParams
-from swarmpulse.geometry import TAU, circ_diff, seeded_rng, vec
-from swarmpulse.pulse import PulsePopulation, min_spread_over, run_to_sync
+from swarmpulse.geometry import TAU, seeded_rng, vec
+from swarmpulse.pulse import PulsePopulation
 from swarmpulse.reference import SwarmParams, step_phases, step_positions
 from swarmpulse.runner import build_drone_engine, run_config
 from swarmpulse.scenarios import SCENARIO_NAMES, scenario_text
 from swarmpulse.smoothing import ExponentialFilter, MovingAverageFilter
+
+from helpers import circ_diff, formation_error, mean_phase, min_spread_over, run_to_sync
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -174,7 +176,7 @@ def test_c04_coupling_sweep():
     gap_by_t = []
     for t, agents in frames(run.phase_rows, slice(2, 3)):
         if 5 in agents:
-            group = metrics.mean_phase([agents[i][0] for i in range(5)])
+            group = mean_phase([agents[i][0] for i in range(5)])
             gap_by_t.append((t, abs(circ_diff(agents[5][0], group))))
     gap0 = gap_by_t[0][1]
     gap1 = next(g for t, g in gap_by_t if t >= gap_by_t[0][0] + 1.0)
@@ -237,7 +239,7 @@ def _formation_series(run, target):
     out = []
     for t, agents in frames(run.position_rows, slice(2, 4)):
         pos = np.array([agents[i] for i in sorted(agents)])
-        out.append((t, metrics.formation_error(pos, target)))
+        out.append((t, formation_error(pos, target)))
     return out
 
 
@@ -292,7 +294,7 @@ def test_c07_window_tradeoff(quincunx_runs):
 def test_c08_dropout_healing(dropout_run):
     drop_t = 30.0
     fes = [
-        (t, metrics.formation_error(np.array([a[i] for i in sorted(a)]), "square_ring"))
+        (t, formation_error(np.array([a[i] for i in sorted(a)]), "square_ring"))
         for t, a in frames(dropout_run.position_rows, slice(2, 4))
         if len(a) == 4
     ]

@@ -21,12 +21,13 @@ from swarmpulse.drone import (
     on_pulse_received,
 )
 from swarmpulse.engine import DroneSwarmEngine, NumericBlowup, ScenarioEvent
-from swarmpulse.geometry import TAU, circ_diff, seeded_rng, vec
+from swarmpulse.geometry import TAU, seeded_rng, vec
 from swarmpulse.medium import BroadcastMedium, PulseMessage
 from swarmpulse.runner import build_drone_engine
 from swarmpulse.scenarios import scenario_text
 from swarmpulse.smoothing import IdentityFilter, make_filter
 
+from helpers import circ_diff
 
 TABLE_PARAMS = DroneParams(k_visible=0.1, k_hidden=-0.1, j=0.8, a=1.0, b=3.0)
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from swarmpulse.geometry import (
     TAU,
-    circ_diff,
     random_unit,
     seeded_rng,
     unit_phase_dist,
@@ -16,6 +15,8 @@ from swarmpulse.geometry import (
     wrap_unit_phase,
 )
 from swarmpulse.reference import SwarmParams, step_phases
+
+from helpers import circ_diff
 
 finite_angles = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False

@@ -10,19 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from swarmpulse import metrics, runner
 from swarmpulse.config import parse_config
-from swarmpulse.geometry import TAU, circ_diff, seeded_rng
+from swarmpulse.geometry import TAU, seeded_rng
 from swarmpulse.metrics import (
     CHUNK_PAIRS,
     broadcast_spacing_stats,
-    formation_error,
     max_pair_diff,
-    mean_phase,
     order_parameter,
     pairwise_spacing,
     rainbow_correlation,
     sample_metrics,
 )
 from swarmpulse.scenarios import scenario_text
+
+from helpers import circ_diff, formation_error, mean_phase
 
 
 def regular_polygon(n, radius=1.0, phase=0.0, centre=(0.0, 0.0)):

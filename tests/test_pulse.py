@@ -3,12 +3,9 @@
 import pytest
 
 from swarmpulse.geometry import seeded_rng
-from swarmpulse.pulse import (
-    PulsePopulation,
-    min_spread_over,
-    receive_pulse,
-    run_to_sync,
-)
+from swarmpulse.pulse import PulsePopulation, receive_pulse
+
+from helpers import min_spread_over, run_to_sync
 
 
 class TestReceivePulse:
