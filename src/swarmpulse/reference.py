@@ -225,7 +225,6 @@ class ReferenceTrace:
     positions: np.ndarray      # (T, N, 2)
     thetas: np.ndarray         # (T, N)
     velocities: np.ndarray     # (T, N, 2) velocity field at each sample
-    omega: np.ndarray          # (N,)
 
 
 def run_reference(
@@ -290,6 +289,4 @@ def run_reference(
                 vels[sample] = rates[:2].T
                 sample += 1
 
-    return ReferenceTrace(
-        times=times, positions=positions, thetas=thetas, velocities=vels, omega=omega
-    )
+    return ReferenceTrace(times=times, positions=positions, thetas=thetas, velocities=vels)
