@@ -324,7 +324,7 @@ class DroneSwarmEngine:
         """
         total_ticks = int(round(duration / self.dt))
         if sample_every is not None and self.tick == 0:
-            self._keep((0,), self.state.values.copy())
+            self._keep((self.tick,), self.state.values.copy())
         # Each tick's check reports an overflow as NumericBlowup, naming
         # the tick and agent; numpy's warning for it would only repeat it.
         with np.errstate(over="ignore"):
