@@ -23,7 +23,7 @@ from pathlib import Path
 from .config import ConfigError, parse_config, validate_config
 from .engine import NumericBlowup, ScenarioEventError
 from .runner import run_config
-from .scenarios import UnknownScenario, describe, list_scenarios, scenario_text
+from .scenarios import SCENARIO_NAMES, UnknownScenario, scenario_text
 from .traces import TraceSchemaError, compare_metrics
 
 EXIT_OK = 0
@@ -107,14 +107,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list() -> int:
-    for name in list_scenarios():
+    for name in SCENARIO_NAMES:
         print(name)
     return EXIT_OK
 
 
 def _cmd_describe(args) -> int:
     try:
-        print(describe(args.name), end="")
+        print(scenario_text(args.name), end="")
     except UnknownScenario:
         print(f"unknown scenario {args.name!r}", file=sys.stderr)
         return EXIT_CONFIG

@@ -104,9 +104,10 @@ class DroneArrays:
     and `phases` are consecutive views of one buffer, `values`, so a
     single reduction can check all three. Every kernel updates them in
     place. `rate_dt`, the rates times dt, and `top_rate`, its largest
-    entry, are cached by `advance_clock`; whoever writes `rates` sets
-    `rate_dt` back to None. `top`, the largest raw phase of the last
-    clock step, and `top_rate` bound the ticks to the next wrap.
+    entry, are cached by `advance_clock` for the dt in `rate_dt_of`;
+    whoever writes `rates` sets `rate_dt` back to None. `top`, the
+    largest raw phase of the last clock step, and `top_rate` bound the
+    ticks to the next wrap.
     """
 
     FIELDS = ("pos", "command", "phases", "rates")
@@ -120,6 +121,7 @@ class DroneArrays:
         )
         self.rates = np.array(rates, dtype=np.float64).reshape(-1, 2)
         self.rate_dt: np.ndarray | None = None
+        self.rate_dt_of = 0.0
         self.negative_rates = False
         self.top_rate, self.top = 0.0, math.inf
 
@@ -174,7 +176,7 @@ class Drone:
 
     __slots__ = ("id", "filter", "state", "row", "alive")
 
-    def __init__(self, drone_id: int, state: DroneArrays, row: int = 0, filter=None):
+    def __init__(self, drone_id: int, state: DroneArrays, row: int, filter):
         self.id = drone_id
         self.filter = filter
         self.state = state
@@ -187,18 +189,6 @@ class Drone:
     hidden = _row_phase(1, "hidden (broadcast-staggering) phase")
     omega = _row_rate(0, "natural rate of the visible phase")
     hidden_omega = _row_rate(1, "natural rate of the hidden phase")
-
-
-@dataclass
-class BroadcastDue:
-    """A hidden-phase wrap inside one clock step.
-
-    `offset` is seconds past the start of the step; `theta` is the
-    visible phase at the crossing instant.
-    """
-
-    offset: float
-    theta: float
 
 
 def on_pulse_received(
@@ -279,23 +269,24 @@ def on_pulse_received(
     state.values[m:] = command + phases
 
 
-def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, BroadcastDue]]:
+def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, float, float]]:
     """Advance every row's phases by dt at their natural rates.
 
-    Returns (row, broadcast) for every hidden-phase wrap inside the
-    step, rows ascending, each timestamped at its exact crossing instant
-    (visible phase interpolated to that instant). A row whose hidden
-    rate is not positive never reaches 2*pi from below, so never fires.
+    Returns (row, offset, theta) for every hidden-phase wrap inside the
+    step, rows ascending: `offset` is the exact crossing instant in
+    seconds past the start of the step, and `theta` the visible phase
+    interpolated to that instant. A row whose hidden rate is not
+    positive never reaches 2*pi from below, so never fires.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if state.rate_dt is None:
-        state.rate_dt = state.rates * dt
+    if state.rate_dt is None or state.rate_dt_of != dt:
+        state.rate_dt, state.rate_dt_of = state.rates * dt, dt
         state.negative_rates = bool((state.rates < 0.0).any())
         state.top_rate = float(state.rate_dt.max(initial=0.0))
     phases = state.phases
     raw = phases + state.rate_dt
-    due: list[tuple[int, BroadcastDue]] = []
+    due: list[tuple[int, float, float]] = []
     hidden_raw = raw[:, 1]
     state.top = np.maximum.reduce(raw, axis=None) if len(raw) else -math.inf
     if state.top >= TAU:
@@ -306,7 +297,7 @@ def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, BroadcastDue
             k = 1
             while reached >= k * TAU:
                 offset = (k * TAU - hidden) / hidden_omega
-                due.append((row, BroadcastDue(offset, wrap_angle(theta + omega * offset))))
+                due.append((row, offset, wrap_angle(theta + omega * offset)))
                 k += 1
     # fmod of a non-negative value is exact and below TAU; a negative one
     # plus TAU can round up to TAU, which wraps to 0 as in `wrap_angle`.
@@ -321,31 +312,3 @@ def apply_motion(state: DroneArrays, dt: float) -> None:
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     state.pos += state.command * dt
-
-
-def spawn(
-    drone_id: int,
-    pos,
-    rng: np.random.Generator,
-    params: DroneParams,
-    base_omega: float,
-    filter_factory,
-) -> Drone:
-    """Create a drone, on a one-row state of its own, with seeded random
-    phases and frequencies.
-
-    Draw order is fixed (theta, hidden, omega, hidden_omega) so spawns
-    are reproducible.
-    """
-    theta = rng.uniform(0.0, TAU)
-    hidden = rng.uniform(0.0, TAU)
-    if params.freq_var > 0.0:
-        omega = rng.uniform(base_omega - params.freq_var, base_omega + params.freq_var)
-        hidden_omega = rng.uniform(
-            base_omega - params.freq_var, base_omega + params.freq_var
-        )
-    else:
-        omega = base_omega
-        hidden_omega = base_omega
-    state = DroneArrays(pos, (0.0, 0.0), (theta, hidden), (omega, hidden_omega))
-    return Drone(drone_id, state, filter=filter_factory())

@@ -35,8 +35,9 @@ per tick (`drone.advance_clock`, `drone.apply_motion`); step 2 is one
 recipients. Every value is computed by the same floating-point
 operations in the same order as a per-drone loop would, so the layout
 changes no output bit.
-`engine.drones[id]` and `alive_drones()` give `drone.Drone` handles
-that read and write those rows.
+`engine.drones`, a list indexed by id that keeps departed drones, and
+`alive_drones()` give `drone.Drone` handles that read and write those
+rows.
 
 `step()` advances one tick. `run()` also glides over quiet ticks: those
 with no delivery due (the medium's `next_due` is after the tick's end
@@ -147,7 +148,7 @@ class DroneSwarmEngine:
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        self.drones: dict[int, Drone] = {}
+        self.drones: list[Drone] = []
         self._alive: list[Drone] = []
         self.state = DroneArrays.gather([])
         self.tick = 0
@@ -165,15 +166,27 @@ class DroneSwarmEngine:
     # -- membership ----------------------------------------------------
 
     def add_drone(self, pos) -> Drone:
-        drone_id = len(self.drones)
-        d = drone_mod.spawn(
-            drone_id, pos, self.rng, self.params, self.base_omega, self.filter_factory
-        )
-        self.drones[drone_id] = d
+        """Spawn a drone at `pos` under the next id, at rest, with random
+        phases and, when `params.freq_var` is set, random rates.
+
+        The scenario RNG draws theta, hidden, omega and hidden_omega, in
+        that fixed order, so spawns are reproducible.
+        """
+        rng, base, var = self.rng, self.base_omega, self.params.freq_var
+        phases = rng.uniform(0.0, TAU), rng.uniform(0.0, TAU)
+        if var > 0.0:
+            rates = rng.uniform(base - var, base + var), rng.uniform(base - var, base + var)
+        else:
+            rates = base, base
+        state = DroneArrays(pos, (0.0, 0.0), phases, rates)
+        d = Drone(len(self.drones), state, 0, self.filter_factory())
+        self.drones.append(d)
         self._rebuild()
         return d
 
     def despawn(self, drone_id: int) -> None:
+        if not 0 <= drone_id < len(self.drones):
+            raise KeyError(drone_id)   # a list index would count a negative id from the end
         d = self.drones[drone_id]
         if not d.alive:
             return
@@ -184,7 +197,7 @@ class DroneSwarmEngine:
 
     def _rebuild(self) -> None:
         """Gather the living drones' rows, in id order, into fresh arrays."""
-        alive = [d for d in self.drones.values() if d.alive]
+        alive = [d for d in self.drones if d.alive]
         state = DroneArrays.gather(alive)
         for row, d in enumerate(alive):
             d.state, d.row = state, row
@@ -241,15 +254,15 @@ class DroneSwarmEngine:
         state = self.state
 
         try:
-            for row, due in drone_mod.advance_clock(state, self.dt):
+            for row, offset, theta in drone_mod.advance_clock(state, self.dt):
                 sender = self._alive[row].id
-                sent_at = t0 + due.offset
+                sent_at = t0 + offset
                 self.fire_log.append((sent_at, sender))
                 self.medium.broadcast(
                     PulseMessage(
                         sender=sender,
                         pos=tuple(state.pos[row].tolist()),
-                        theta=due.theta,
+                        theta=theta,
                         sent_at=sent_at,
                         hidden=state.phases.item(row, 1) if self.hidden_in_payload else None,
                     )
@@ -300,7 +313,7 @@ class DroneSwarmEngine:
             target = event.target
             if target == "nearest_centroid":
                 target = self._nearest_centroid()
-            if int(target) not in self.drones:
+            if not 0 <= int(target) < len(self.drones):
                 raise ScenarioEventError(
                     f"despawn at t={event.time} names unknown agent {target}"
                 )
@@ -317,13 +330,13 @@ class DroneSwarmEngine:
 
         Successive calls with increasing values continue the same run,
         so to read or write the drones part-way, split the run into
-        several calls. Given `sample_every`, it samples at t=0, at every
-        `sample_every`-th tick boundary and at its last tick, keeping
-        each for `trace_columns`. A run without `sample_every` keeps
-        nothing.
+        several calls. Given `sample_every`, it samples at t=0 unless
+        that is kept already, at every `sample_every`-th tick boundary
+        and at its last tick, keeping each for `trace_columns`. A run
+        without `sample_every` keeps nothing.
         """
         total_ticks = int(round(duration / self.dt))
-        if sample_every is not None and self.tick == 0:
+        if sample_every is not None and self.tick == 0 and not self._ticks:
             self._keep((self.tick,), self.state.values.copy())
         # Each tick's check reports an overflow as NumericBlowup, naming
         # the tick and agent; numpy's warning for it would only repeat it.

@@ -63,10 +63,10 @@ class BroadcastMedium:
 
     airtime: float = 0.005
     collision_policy: str = "drop_all"
-    _queue: list[_InFlight] = field(default_factory=list)
-    _last_poll: float = 0.0
+    _queue: list[_InFlight] = field(default_factory=list, init=False)
+    _last_poll: float = field(default=0.0, init=False)
     next_due: float = field(default=math.inf, init=False)  # earliest in `_queue`
-    stats: MediumStats = field(default_factory=MediumStats)
+    stats: MediumStats = field(default_factory=MediumStats, init=False)
 
     def __post_init__(self) -> None:
         if self.airtime < 0.0:

@@ -38,7 +38,6 @@ CHUNK_PAIRS = 4096
 
 @dataclass
 class SpacingSample:
-    t: float
     am: float
     gm: float
     min: float
@@ -69,13 +68,13 @@ def max_pair_diff(thetas) -> float:
     return float(sample_metrics([thetas.size], thetas)["max_pair_diff"][0])
 
 
-def pairwise_spacing(positions, t: float = 0.0) -> SpacingSample:
+def pairwise_spacing(positions) -> SpacingSample:
     """Arithmetic/geometric mean and extremes of all pairwise distances."""
     positions = np.asarray(positions, dtype=np.float64)
     if positions.shape[0] < 2:
         raise ValueError("spacing needs at least two agents")
     columns = sample_metrics([positions.shape[0]], pos=positions)
-    return SpacingSample(t=t, **{key: float(col[0]) for key, col in columns.items()})
+    return SpacingSample(**{key: float(col[0]) for key, col in columns.items()})
 
 
 def sample_metrics(counts, theta=None, pos=None) -> dict[str, np.ndarray]:

@@ -22,15 +22,8 @@ cascade are served FIFO with receivers visited in ascending id.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .geometry import unit_phase_dist, wrap_unit_phase
-
-
-@dataclass
-class FireEvent:
-    time: float
-    osc_id: int
 
 
 def receive_pulse(theta: float, k: float) -> float:
@@ -73,11 +66,12 @@ class PulsePopulation:
                     worst = d
         return worst
 
-    def _cascade(self, first: int, now: float) -> list[FireEvent]:
-        """Fire `first` and propagate absorptions; returns fires in order."""
+    def _cascade(self, first: int, now: float) -> list[tuple[float, int]]:
+        """Fire `first` and propagate absorptions; returns (time, osc_id)
+        fires in order."""
         fired = {first}
         queue = deque([first])
-        events = [FireEvent(now, first)]
+        events = [(now, first)]
         self.phases[first] = 0.0
         while queue:
             queue.popleft()
@@ -93,21 +87,21 @@ class PulsePopulation:
                     fired.add(rid)
                     self.phases[rid] = 0.0
                     queue.append(rid)
-                    events.append(FireEvent(now, rid))
+                    events.append((now, rid))
                 else:
                     self.phases[rid] = response
         return events
 
-    def advance(self, dt: float) -> list[FireEvent]:
+    def advance(self, dt: float) -> list[tuple[float, int]]:
         """Advance the population by dt seconds, processing any fires.
 
         Phases grow at `rate`; each threshold crossing fires at its exact
-        crossing instant with the usual cascade semantics. Returns all
-        fire events in processing order.
+        crossing instant with the usual cascade semantics. Returns every
+        fire as (time, osc_id), in processing order.
         """
         if dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        events: list[FireEvent] = []
+        events: list[tuple[float, int]] = []
         remaining = dt
         while remaining > 0.0:
             to_cross = min((1.0 - p) / self.rate for p in self.phases)
@@ -128,6 +122,6 @@ class PulsePopulation:
                 if c in fired_now:
                     continue  # absorbed by an earlier crosser's cascade
                 cascade_events = self._cascade(c, self.t)
-                fired_now.update(e.osc_id for e in cascade_events)
+                fired_now.update(osc_id for _, osc_id in cascade_events)
                 events.extend(cascade_events)
         return events

@@ -171,7 +171,7 @@ def _run_pulse(cfg: ScenarioConfig, name: str) -> RunResult:
     times, thetas = np.empty(samples), np.empty((samples, cfg.n))
     times[0], thetas[0], sample = pop.t, pop.phases, 1
     for step in range(1, steps + 1):
-        fire_log.extend((event.time, event.osc_id) for event in pop.advance(cfg.dt))
+        fire_log.extend(pop.advance(cfg.dt))
         if step % every == 0 or step == steps:
             times[sample], thetas[sample] = pop.t, pop.phases
             sample += 1

@@ -37,12 +37,3 @@ def scenario_text(name: str) -> str:
         .joinpath("scenarios", f"{name}.cfg")
         .read_text(encoding="utf-8")
     )
-
-
-def list_scenarios() -> list[str]:
-    return list(SCENARIO_NAMES)
-
-
-def describe(name: str) -> str:
-    """Human-readable description: the scenario's own config text."""
-    return scenario_text(name)

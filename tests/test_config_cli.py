@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from swarmpulse.config import (
     validate_config,
 )
 from swarmpulse.engine import NumericBlowup, ScenarioEvent
-from swarmpulse.scenarios import SCENARIO_NAMES, describe, list_scenarios, scenario_text
+from swarmpulse.scenarios import SCENARIO_NAMES, scenario_text
 from swarmpulse.traces import compare_metrics
 
 MINI_PULSE = """
@@ -137,9 +138,10 @@ class TestFormations:
 
 class TestScenarios:
     def test_registry_lists_all_bundled(self):
-        names = list_scenarios()
-        assert len(names) >= 11
-        assert set(names) == set(SCENARIO_NAMES)
+        shipped = resources.files("swarmpulse").joinpath("scenarios").iterdir()
+        cfgs = {f.name.removesuffix(".cfg") for f in shipped if f.name.endswith(".cfg")}
+        assert len(SCENARIO_NAMES) >= 11
+        assert sorted(SCENARIO_NAMES) == sorted(cfgs)
 
     def test_every_bundled_scenario_parses(self):
         for name in SCENARIO_NAMES:
@@ -147,10 +149,10 @@ class TestScenarios:
             assert cfg.duration > 0
 
     def test_describe_rainbow_shows_negative_coupling(self):
-        assert "ref.k = -0.7" in describe("table2_rainbow")
+        assert "ref.k = -0.7" in scenario_text("table2_rainbow")
 
     def test_describe_ma10_shows_window(self):
-        assert "smoothing.window = 10" in describe("quincunx_ma10")
+        assert "smoothing.window = 10" in scenario_text("quincunx_ma10")
 
     def test_dropout_has_midrun_despawn(self):
         cfg = parse_config(scenario_text("dropout_mid"))
@@ -224,10 +226,12 @@ class TestCli:
         assert len(err.splitlines()) == 1 and str(blocker) in err
 
     def test_despawn_of_unknown_agent_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "bad_event.cfg"
-        cfg.write_text(MINI_DRONE + "scenario.events = 1.0 despawn 42\n")
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "unknown agent" in capsys.readouterr().err
+        # A negative id names no agent either; it must not index from the end.
+        for target in ("42", "-1"):
+            cfg = tmp_path / f"bad_event_{target}.cfg"
+            cfg.write_text(MINI_DRONE + f"scenario.events = 1.0 despawn {target}\n")
+            assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert f"unknown agent {target}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["0", "nearest_centroid"])
     def test_despawn_of_last_drone_exits_2_writing_nothing(self, tmp_path, capsys, target):

@@ -35,7 +35,7 @@ TABLE_PARAMS = DroneParams(k_visible=0.1, k_hidden=-0.1, j=0.8, a=1.0, b=3.0)
 def drone(drone_id=0, pos=(0.0, 0.0), theta=0.0, hidden=0.0, omega=TAU, hidden_omega=TAU):
     """A lone drone on a one-row state of its own."""
     state = DroneArrays([pos], [(0.0, 0.0)], [(theta, hidden)], [(omega, hidden_omega)])
-    return Drone(drone_id, state, filter=IdentityFilter())
+    return Drone(drone_id, state, 0, IdentityFilter())
 
 
 def pulse_from(sender, pos, theta, sent_at=0.0, hidden=None):
@@ -140,10 +140,10 @@ class TestClock:
         me = drone(theta=1.0, hidden=TAU - 0.01, omega=2.0, hidden_omega=1.0)
         due = advance_clock(me.state, 0.02)
         assert len(due) == 1
-        row, first = due[0]
+        row, offset, theta = due[0]
         assert row == me.row
-        assert first.offset == pytest.approx(0.01)
-        assert first.theta == pytest.approx(1.0 + 2.0 * 0.01)
+        assert offset == pytest.approx(0.01)
+        assert theta == pytest.approx(1.0 + 2.0 * 0.01)
         assert me.hidden == pytest.approx(0.01)
 
     def test_zero_omega_keeps_theta(self):
@@ -154,6 +154,13 @@ class TestClock:
     def test_no_wrap_no_broadcast(self):
         me = drone(hidden=1.0)
         assert advance_clock(me.state, 0.01) == []
+
+    def test_each_step_uses_its_own_dt(self):
+        me = drone(omega=1.0, hidden_omega=1.0)
+        advance_clock(me.state, 0.01)
+        advance_clock(me.state, 1.0)
+        assert me.theta == pytest.approx(1.01)
+        assert me.hidden == pytest.approx(1.01)
 
     def test_antiphase_pair_alternates_evenly(self):
         eng = build_engine(
@@ -239,7 +246,10 @@ class TestEngineInvariants:
         assert eng.add_drone((1.0, 1.0)).id == 3
         eng.despawn(0)
         assert eng.add_drone((1.0, 1.0)).id == 4
-        assert list(eng.drones) == [0, 1, 2, 3, 4]
+        assert [d.id for d in eng.drones] == [0, 1, 2, 3, 4]
+        for unknown in (-1, 5):
+            with pytest.raises(KeyError):
+                eng.despawn(unknown)
         assert [d.id for d in eng.alive_drones()] == [1, 3, 4]
 
     def test_uncoupled_spawned_drone_keeps_offset(self):
@@ -633,17 +643,18 @@ def kept_samples(eng):
     return out
 
 
-def step_by_step(eng, duration, sample_every=1):
-    """`run` as a loop over `step()`, one tick at a time. Returns its
-    samples as (t, values row bytes, ids, collision count)."""
-    log = []
+def step_by_step(eng, duration, sample_every=1, log=()):
+    """`run` as a loop over `step()`, one tick at a time. Returns `log`
+    followed by its samples as (t, values row bytes, ids, collision
+    count); t=0 is sampled only when `log` is empty."""
+    log = list(log)
 
     def sample():
         log.append((eng.t, eng.state.values.tobytes(), [d.id for d in eng.alive_drones()],
                     eng.medium.stats.collisions))
 
     total = int(round(duration / eng.dt))
-    if eng.tick == 0:
+    if eng.tick == 0 and not log:
         sample()
     while eng.tick < total:
         eng.step()
@@ -676,7 +687,7 @@ class TestRunMatchesStep:
                     for eng in (glided, stepped):
                         eng.alive_drones()[-1].command = vec(0.0625, -0.0)
                 glided.run(duration, every)
-                stepped_log += step_by_step(stepped, duration, every)
+                stepped_log = step_by_step(stepped, duration, every, stepped_log)
         assert kept_samples(glided) == stepped_log
         assert glided.tick == stepped.tick
         assert glided.state.values.tobytes() == stepped.state.values.tobytes()
@@ -720,6 +731,14 @@ class TestRunMatchesStep:
         step_by_step(stepped, 0.5)
         assert glided.state.values.tobytes() == stepped.state.values.tobytes()
         assert math.copysign(1.0, glided.drones[1].theta) == 1.0
+
+    def test_call_of_no_ticks_keeps_t0_once(self):
+        split, whole = build_engine(seed=3, n=4), build_engine(seed=3, n=4)
+        split.run(0.001, 4)
+        split.run(0.1, 4)
+        whole.run(0.1, 4)
+        for a, b in zip(split.trace_columns(), whole.trace_columns(), strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_unsampled_run_keeps_nothing(self):
         eng = build_engine(seed=3, n=5, events=[ScenarioEvent(2.0, "spawn", pos=(0.5, 0.5))])

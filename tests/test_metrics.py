@@ -117,10 +117,10 @@ class TestPairObservablesMatchLoop:
         d = np.array([
             float(np.linalg.norm(pos[j] - pos[i])) for i in range(n) for j in range(i + 1, n)
         ])
-        s = pairwise_spacing(pos, t=1.5)
+        s = pairwise_spacing(pos)
         gm = 0.0 if np.any(d == 0.0) else float(np.exp(np.mean(np.log(d))))
-        assert (s.t, s.am, s.gm, s.min, s.max) == (
-            1.5, float(np.mean(d)), gm, float(np.min(d)), float(np.max(d))
+        assert (s.am, s.gm, s.min, s.max) == (
+            float(np.mean(d)), gm, float(np.min(d)), float(np.max(d))
         )
 
     @settings(max_examples=60, deadline=None)
@@ -213,9 +213,9 @@ class TestSampleMetrics:
     def test_one_sample_calls_keep_their_types(self):
         assert type(order_parameter([0.5, 1.0])) is float
         assert type(max_pair_diff([0.5, 1.0])) is float
-        s = pairwise_spacing(np.array([[0.0, 0.0], [3.0, 4.0]]), t=2.0)
+        s = pairwise_spacing(np.array([[0.0, 0.0], [3.0, 4.0]]))
         assert [type(v) for v in (s.am, s.gm, s.min, s.max)] == [float] * 4
-        assert (s.t, s.am) == (2.0, 5.0)
+        assert s.am == 5.0
 
 
 # Written down before measuring: the kernel's outputs are six float64

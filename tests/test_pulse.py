@@ -50,8 +50,9 @@ class TestAdvance:
         pop = PulsePopulation([0.99], 0.0, rate=1.0)
         events = pop.advance(0.02)
         assert len(events) == 1
-        assert events[0].osc_id == 0
-        assert events[0].time == pytest.approx(0.01)
+        time, osc_id = events[0]
+        assert osc_id == 0
+        assert time == pytest.approx(0.01)
         assert pop.phases[0] == pytest.approx(0.01)
 
     def test_uncoupled_offsets_constant(self):
@@ -66,7 +67,7 @@ class TestAdvance:
         # The firing oscillator resets; the other jumps by the response curve.
         pop = PulsePopulation([0.995, 0.25], 0.1, rate=1.0)
         events = pop.advance(0.01)
-        assert [e.osc_id for e in events] == [0]
+        assert [osc_id for _, osc_id in events] == [0]
         assert pop.phases[1] == pytest.approx(receive_pulse(0.25 + 0.005, 0.1) + 0.005, abs=1e-12)
 
     def test_absorption_cascade_fires_receiver_once(self):
@@ -74,7 +75,7 @@ class TestAdvance:
         # in the same cascade; neither fires twice.
         pop = PulsePopulation([0.999, 0.81], 0.2, rate=1.0)
         events = pop.advance(0.001)
-        assert [e.osc_id for e in events] == [0, 1]
+        assert [osc_id for _, osc_id in events] == [0, 1]
         assert all(0.0 <= p < 1.0 for p in pop.phases)
 
     def test_synchrony_is_absorbing(self):
@@ -86,7 +87,7 @@ class TestAdvance:
     def test_simultaneous_crossers_tie_by_id(self):
         pop = PulsePopulation([0.5, 0.5, 0.1], 0.0, rate=1.0)
         events = pop.advance(0.5)
-        firing = [e.osc_id for e in events]
+        firing = [osc_id for _, osc_id in events]
         assert firing == [0, 1]
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from swarmpulse.config import parse_config
 from swarmpulse.runner import run_config
-from swarmpulse.scenarios import list_scenarios, scenario_text
+from swarmpulse.scenarios import SCENARIO_NAMES, scenario_text
 from swarmpulse.traces import (
     POSITION_HEADER,
     TraceTable,
@@ -264,7 +264,7 @@ def simd_check_values():
     """The float columns of every bundled scenario shorter than 300 s,
     the edge floats, and a seeded spread over 26 decades."""
     parts = [np.array(EDGE_FLOATS)]
-    for name in list_scenarios():
+    for name in SCENARIO_NAMES:
         cfg = parse_config(scenario_text(name))
         if cfg.duration >= 300:
             continue
