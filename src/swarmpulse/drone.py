@@ -47,11 +47,12 @@ No update ever depends on how many drones are in the swarm.
 State lives in arrays, not in per-drone objects. A `DroneArrays` holds
 one row per drone: position, held command, (theta, hidden) and
 (omega, hidden_omega). The clock and motion kernels, `advance_clock` and
-`apply_motion`, step every row at once. `on_pulse_received` serves every
-recipient of one pulse in one call: it reads the rows once as Python
-floats, updates each recipient in turn, and writes the rows back once.
-The smoothing filters take and return (x, y) pairs. A `Drone` is a
-handle on one row whose attributes read and write that row.
+`apply_motion`, step every row at once. A drone is its row and
+nothing else: whoever owns the arrays keeps, aligned with the rows, the
+drones' ids and their smoothing filters, which take and return (x, y)
+pairs. `on_pulse_received` serves every row that hears one pulse in one
+call: it reads the rows once as Python floats, updates each in turn,
+and writes the rows back once.
 """
 
 from __future__ import annotations
@@ -125,83 +126,22 @@ class DroneArrays:
         self.negative_rates = False
         self.top_rate, self.top = 0.0, math.inf
 
-    @classmethod
-    def gather(cls, drones) -> DroneArrays:
-        """Copy the current row of each drone, in the order given."""
-        return cls(*(
-            [getattr(d.state, name)[d.row] for d in drones] for name in cls.FIELDS
-        ))
-
-
-def _row_vector(name: str, doc: str) -> property:
-    def get(self) -> np.ndarray:
-        return getattr(self.state, name)[self.row].copy()
-
-    def set(self, value) -> None:
-        getattr(self.state, name)[self.row] = value
-
-    return property(get, set, doc=doc)
-
-
-def _row_phase(col: int, doc: str) -> property:
-    def get(self) -> float:
-        return self.state.phases.item(self.row, col)
-
-    def set(self, value: float) -> None:
-        self.state.phases[self.row, col] = wrap_angle(value)
-
-    return property(get, set, doc=doc)
-
-
-def _row_rate(col: int, doc: str) -> property:
-    def get(self) -> float:
-        return self.state.rates.item(self.row, col)
-
-    def set(self, value: float) -> None:
-        self.state.rates[self.row, col] = value
-        self.state.rate_dt = None
-
-    return property(get, set, doc=doc)
-
-
-class Drone:
-    """Handle on one drone: its id, its filter, and its row of a
-    `DroneArrays`.
-
-    `pos`, `command`, `theta`, `hidden`, `omega` and `hidden_omega` read
-    and write that row; vectors are returned as copies. A written phase
-    is wrapped into [0, 2*pi). The engine re-points `state` and `row`
-    whenever its membership changes.
-    """
-
-    __slots__ = ("id", "filter", "state", "row", "alive")
-
-    def __init__(self, drone_id: int, state: DroneArrays, row: int, filter):
-        self.id = drone_id
-        self.filter = filter
-        self.state = state
-        self.row = row
-        self.alive = True
-
-    pos = _row_vector("pos", "position")
-    command = _row_vector("command", "held velocity")
-    theta = _row_phase(0, "visible phase")
-    hidden = _row_phase(1, "hidden (broadcast-staggering) phase")
-    omega = _row_rate(0, "natural rate of the visible phase")
-    hidden_omega = _row_rate(1, "natural rate of the hidden phase")
-
 
 def on_pulse_received(
-    recipients: list[Drone],
+    state: DroneArrays,
+    ids: list[int],
+    filters: list,
     msg,
     params: DroneParams,
     rng: np.random.Generator | None = None,
 ) -> None:
-    """Apply one received pulse to every drone in `recipients`, in place.
+    """Apply one received pulse to every row of `state` but its sender's,
+    in place.
 
-    The recipients are handles on rows of one `DroneArrays`, served in
-    the order given; that order fixes the order of the filter pushes
-    and of the RNG draws for coincident drones. Each recipient's phase
+    Row r is drone `ids[r]`, which smooths its commands with
+    `filters[r]`. Every row whose id is not `msg.sender` hears the
+    pulse, in row order; that order fixes the order of the filter
+    pushes and of the RNG draws for coincident drones. Each row's phase
     kicks and movement command come from its own pre-update state. The
     hidden reference defaults to 0 (pulse timing implies the sender's
     hidden phase just wrapped).
@@ -225,9 +165,6 @@ def on_pulse_received(
     it. Every value gets the same floating-point operations, in the
     same order, as serving the recipients one call each would.
     """
-    if not recipients:
-        return
-    state = recipients[0].state
     # pos, command and phases, 2n floats each; row r's pair sits at 2r.
     values = state.values.tolist()
     m = len(values) // 3
@@ -237,11 +174,9 @@ def on_pulse_received(
     ref = 0.0 if msg.hidden is None else msg.hidden
     sender, theta_j, (sx, sy) = msg.sender, msg.theta, msg.pos
     sin, cos, hypot = math.sin, math.cos, math.hypot
-    for me in recipients:
-        assert me.state is state, "recipients must share one DroneArrays"
-        if me.id == sender:
-            raise ValueError(f"drone {me.id} received its own pulse")
-        i = 2 * me.row
+    for i, drone_id, smoother in zip(range(0, m, 2), ids, filters):
+        if drone_id == sender:
+            continue
         theta, hidden = phases[i], phases[i + 1]
         phase_diff = theta_j - theta
         if k_visible != 0.0:
@@ -260,7 +195,7 @@ def on_pulse_received(
         else:
             ux, uy = dx / d, dy / d
         scale = a + j * cos(phase_diff) - b / d
-        cx, cy = me.filter.push((ux * scale, uy * scale))
+        cx, cy = smoother.push((ux * scale, uy * scale))
         speed = hypot(cx, cy)
         if speed > cap:
             scale = cap / speed

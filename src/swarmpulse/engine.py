@@ -23,21 +23,21 @@ a tick boundary t, after that tick's deliveries, so:
 - a pulse already sent by a drone that has left still reaches the
   others.
 
-Drones get ids in spawn order, 0 first. A departed drone keeps its id,
-so no id is ever reused.
+Drones get ids in spawn order, 0 first, and no id is ever reused.
 
-The living drones' state is one `drone.DroneArrays`, one row per drone
-in ascending id order: `pos` and `command` (n, 2), `phases` (n, 2) as
-(theta, hidden), `rates` (n, 2) as (omega, hidden_omega). It is rebuilt
-only when membership changes. Steps 1 and 3 are one array kernel each
-per tick (`drone.advance_clock`, `drone.apply_motion`); step 2 is one
-`drone.on_pulse_received` call per delivered pulse, which serves all its
-recipients. Every value is computed by the same floating-point
+A living drone is one row and nothing else. `state` is one
+`drone.DroneArrays` holding the rows in ascending id order: `pos` and
+`command` (n, 2), `phases` (n, 2) as (theta, hidden), `rates` (n, 2) as
+(omega, hidden_omega). `ids` and `filters` are lists aligned with them:
+row r is drone `ids[r]`, and `filters[r]` smooths its commands. A
+departed drone leaves no trace. A membership change binds all three to
+new objects and never mutates the old ones, so whoever holds them sees
+the swarm as it was. Steps 1 and 3 are one array kernel each per tick
+(`drone.advance_clock`, `drone.apply_motion`); step 2 is one
+`drone.on_pulse_received` call per delivered pulse, which serves every
+row but the sender's. Every value is computed by the same floating-point
 operations in the same order as a per-drone loop would, so the layout
 changes no output bit.
-`engine.drones`, a list indexed by id that keeps departed drones, and
-`alive_drones()` give `drone.Drone` handles that read and write those
-rows.
 
 `step()` advances one tick. `run()` also glides over quiet ticks: those
 with no delivery due (the medium's `next_due` is after the tick's end
@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import drone as drone_mod
-from .drone import Drone, DroneArrays, DroneParams
+from .drone import DroneArrays, DroneParams
 from .geometry import SQUARES_LIMIT, TAU, NumericBlowup
 from .medium import BroadcastMedium, PulseMessage
 from .smoothing import IdentityFilter
@@ -148,9 +148,10 @@ class DroneSwarmEngine:
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        self.drones: list[Drone] = []
-        self._alive: list[Drone] = []
-        self.state = DroneArrays.gather([])
+        self.state = DroneArrays([], [], [], [])
+        self.ids: list[int] = []
+        self.filters: list = []
+        self._spawned = 0
         self.tick = 0
         self.fire_log: list[tuple[float, int]] = []
         self.events = sorted(self.events, key=lambda e: e.time)
@@ -165,9 +166,10 @@ class DroneSwarmEngine:
 
     # -- membership ----------------------------------------------------
 
-    def add_drone(self, pos) -> Drone:
+    def add_drone(self, pos) -> int:
         """Spawn a drone at `pos` under the next id, at rest, with random
-        phases and, when `params.freq_var` is set, random rates.
+        phases and, when `params.freq_var` is set, random rates, and
+        return its id.
 
         The scenario RNG draws theta, hidden, omega and hidden_omega, in
         that fixed order, so spawns are reproducible.
@@ -178,39 +180,34 @@ class DroneSwarmEngine:
             rates = rng.uniform(base - var, base + var), rng.uniform(base - var, base + var)
         else:
             rates = base, base
-        state = DroneArrays(pos, (0.0, 0.0), phases, rates)
-        d = Drone(len(self.drones), state, 0, self.filter_factory())
-        self.drones.append(d)
-        self._rebuild()
-        return d
+        row = (pos, (0.0, 0.0), phases, rates)
+        drone_id, self._spawned = self._spawned, self._spawned + 1
+        self.state = DroneArrays(*(
+            np.vstack([getattr(self.state, f), x]) for f, x in zip(DroneArrays.FIELDS, row)
+        ))
+        self.ids = [*self.ids, drone_id]
+        self.filters = [*self.filters, self.filter_factory()]
+        return drone_id
 
     def despawn(self, drone_id: int) -> None:
-        if not 0 <= drone_id < len(self.drones):
-            raise KeyError(drone_id)   # a list index would count a negative id from the end
-        d = self.drones[drone_id]
-        if not d.alive:
+        """Remove drone `drone_id`'s row; one that has departed already is
+        ignored, and one never spawned raises KeyError."""
+        if not 0 <= drone_id < self._spawned:
+            raise KeyError(drone_id)
+        if drone_id not in self.ids:
             return
-        d.alive = False
-        # The departed drone keeps a one-row copy of its last state.
-        d.state, d.row = DroneArrays.gather([d]), 0
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Gather the living drones' rows, in id order, into fresh arrays."""
-        alive = [d for d in self.drones if d.alive]
-        state = DroneArrays.gather(alive)
-        for row, d in enumerate(alive):
-            d.state, d.row = state, row
-        self._alive, self.state = alive, state
-
-    def alive_drones(self) -> list[Drone]:
-        return list(self._alive)
+        row = self.ids.index(drone_id)
+        self.state = DroneArrays(
+            *(np.delete(getattr(self.state, f), row, axis=0) for f in DroneArrays.FIELDS)
+        )
+        self.ids = self.ids[:row] + self.ids[row + 1:]
+        self.filters = self.filters[:row] + self.filters[row + 1:]
 
     def _keep(self, ticks, rows: np.ndarray) -> None:
         """Keep the samples at `ticks`, one row of `values` each (one row may be 1-D),
         in the segment of the current membership."""
         if not self._segments or self._segments[-1][0] is not self.state:
-            ids = np.array([d.id for d in self._alive], dtype=np.int64)
+            ids = np.array(self.ids, dtype=np.int64)
             self._segments.append((self.state, ids, []))
         self._segments[-1][2].append(rows)
         self._ticks.extend(ticks)
@@ -236,15 +233,11 @@ class DroneSwarmEngine:
         )
 
     def _nearest_centroid(self) -> int:
-        if not self._alive:
+        if not self.ids:
             raise ScenarioEventError("despawn of nearest_centroid with no agents alive")
         pos = self.state.pos
         centroid = np.mean(pos, axis=0)
-        best = min(
-            self._alive,
-            key=lambda d: (float(np.linalg.norm(pos[d.row] - centroid)), d.id),
-        )
-        return best.id
+        return min(zip((float(np.linalg.norm(p - centroid)) for p in pos), self.ids))[1]
 
     # -- stepping ------------------------------------------------------
 
@@ -255,7 +248,7 @@ class DroneSwarmEngine:
 
         try:
             for row, offset, theta in drone_mod.advance_clock(state, self.dt):
-                sender = self._alive[row].id
+                sender = self.ids[row]
                 sent_at = t0 + offset
                 self.fire_log.append((sent_at, sender))
                 self.medium.broadcast(
@@ -270,7 +263,7 @@ class DroneSwarmEngine:
 
             for msg in self.medium.poll_deliveries(t1):
                 drone_mod.on_pulse_received(
-                    [d for d in self._alive if d.id != msg.sender], msg, self.params, self.rng
+                    state, self.ids, self.filters, msg, self.params, self.rng
                 )
         except ValueError as exc:
             # `wrap_angle` refuses a non-finite phase before either kernel
@@ -278,7 +271,7 @@ class DroneSwarmEngine:
             row = _first_bad_row(state)
             if row is None:
                 raise
-            raise NumericBlowup(self.tick + 1, self._alive[row].id) from exc
+            raise NumericBlowup(self.tick + 1, self.ids[row]) from exc
 
         drone_mod.apply_motion(state, self.dt)
 
@@ -304,7 +297,7 @@ class DroneSwarmEngine:
         if not s.values.dot(s.values) < SQUARES_LIMIT:
             row = _first_bad_row(s)
             if row is not None:
-                raise NumericBlowup(self.tick, self._alive[row].id)
+                raise NumericBlowup(self.tick, self.ids[row])
 
     def _apply_event(self, event: ScenarioEvent) -> None:
         if event.kind == "spawn":
@@ -313,11 +306,11 @@ class DroneSwarmEngine:
             target = event.target
             if target == "nearest_centroid":
                 target = self._nearest_centroid()
-            if not 0 <= int(target) < len(self.drones):
+            if not 0 <= int(target) < self._spawned:
                 raise ScenarioEventError(
                     f"despawn at t={event.time} names unknown agent {target}"
                 )
-            if [d.id for d in self._alive] == [int(target)]:
+            if self.ids == [int(target)]:
                 raise ScenarioEventError(
                     f"despawn at t={event.time} of agent {target} would leave no drone alive"
                 )

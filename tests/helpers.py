@@ -1,4 +1,4 @@
-"""Observables and drivers that only the tests use.
+"""Observables, drivers and views that only the tests use.
 
 No run of the package reaches these: the acceptance checks and unit
 tests assert on them, so they live beside the tests rather than in
@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 
-from swarmpulse.geometry import TAU
+from swarmpulse import drone
+from swarmpulse.geometry import TAU, wrap_angle
 from swarmpulse.pulse import PulsePopulation
+from swarmpulse.smoothing import IdentityFilter
 
 TARGET_POLYGONS = {"pentagon_ring": 5, "square_ring": 4}
 
@@ -108,3 +110,84 @@ def min_spread_over(pop: PulsePopulation, duration: float) -> float:
         if events:
             lowest = min(lowest, pop.spread())
     return lowest
+
+
+def _row_vector(name: str) -> property:
+    def get(self) -> np.ndarray:
+        return getattr(self.state, name)[self.row].copy()
+
+    def set(self, value) -> None:
+        getattr(self.state, name)[self.row] = value
+
+    return property(get, set)
+
+
+def _row_phase(col: int) -> property:
+    def get(self) -> float:
+        return self.state.phases.item(self.row, col)
+
+    def set(self, value: float) -> None:
+        self.state.phases[self.row, col] = wrap_angle(value)
+
+    return property(get, set)
+
+
+def _row_rate(col: int) -> property:
+    def get(self) -> float:
+        return self.state.rates.item(self.row, col)
+
+    def set(self, value: float) -> None:
+        self.state.rates[self.row, col] = value
+        self.state.rate_dt = None
+
+    return property(get, set)
+
+
+class DroneView:
+    """Drone `drone_id` of `swarm`: an engine, or anything else with a
+    `state` and `ids` aligned with its rows.
+
+    The row is found by id on every access, so a view stays valid across
+    spawns and despawns; a departed drone has no row (ValueError).
+    Vectors read as copies, a written phase is wrapped into [0, 2*pi),
+    and a written rate clears the state's `rate_dt` cache.
+    """
+
+    def __init__(self, swarm, drone_id: int):
+        self.swarm, self.id = swarm, drone_id
+
+    state = property(lambda self: self.swarm.state)
+    row = property(lambda self: self.swarm.ids.index(self.id))
+    pos = _row_vector("pos")
+    command = _row_vector("command")
+    theta = _row_phase(0)
+    hidden = _row_phase(1)
+    omega = _row_rate(0)
+    hidden_omega = _row_rate(1)
+
+
+def drones(swarm) -> list[DroneView]:
+    """Views of the living drones of `swarm`, in row order."""
+    return [DroneView(swarm, i) for i in swarm.ids]
+
+
+def hearers(monkeypatch) -> list[tuple[int, int]]:
+    """Log (receiver id, sender id) of every reception from now on.
+
+    The receivers are read from outside `drone.on_pulse_received`: the
+    filters whose `push` ran during a call, mapped back to ids through
+    the `filters` it was given. Every drone must smooth with an
+    `IdentityFilter`.
+    """
+    log, pushed = [], []
+    push, receive = IdentityFilter.push, drone.on_pulse_received
+    monkeypatch.setattr(IdentityFilter, "push", lambda f, x: pushed.append(f) or push(f, x))
+
+    def spy(state, ids, filters, msg, *args):
+        pushed.clear()
+        receive(state, ids, filters, msg, *args)
+        owner = {id(f): i for i, f in zip(ids, filters)}
+        log.extend((owner[id(f)], msg.sender) for f in pushed)
+
+    monkeypatch.setattr(drone, "on_pulse_received", spy)
+    return log

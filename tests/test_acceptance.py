@@ -41,7 +41,14 @@ from swarmpulse.runner import build_drone_engine, run_config
 from swarmpulse.scenarios import SCENARIO_NAMES, scenario_text
 from swarmpulse.smoothing import ExponentialFilter, MovingAverageFilter
 
-from helpers import circ_diff, formation_error, mean_phase, min_spread_over, run_to_sync
+from helpers import (
+    circ_diff,
+    drones,
+    formation_error,
+    mean_phase,
+    min_spread_over,
+    run_to_sync,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -208,7 +215,7 @@ def test_c05_dual_phase_medium_access():
     control_cfg = parse_config(scenario_text("quincunx_ma10"))
     control_cfg.drone_k_hidden = 0.0
     control = build_drone_engine(control_cfg)
-    for d in control.alive_drones():
+    for d in drones(control):
         d.hidden = 1.0
     control.run(60.0)
     control_collisions = control.medium.stats.collisions
@@ -367,15 +374,15 @@ def test_c10_equilibrium_cross_check():
     cfg.events = []
     engine = build_drone_engine(cfg)
     d_star_drone = cfg.drone_b / (cfg.drone_a + cfg.drone_j)
-    d0, d1 = engine.alive_drones()
+    d0, d1 = drones(engine)
     d0.pos = vec(-d_star_drone / 2, 0.0)
     d1.pos = vec(d_star_drone / 2, 0.0)
     d0.theta = d1.theta = 1.0
     d0.omega = d1.omega = 0.0
-    starts = {d.id: d.pos.copy() for d in engine.alive_drones()}
+    starts = {d.id: d.pos.copy() for d in drones(engine)}
     engine.run(10.0)
     drone_drift = max(
-        float(np.max(np.abs(d.pos - starts[d.id]))) for d in engine.alive_drones()
+        float(np.max(np.abs(d.pos - starts[d.id]))) for d in drones(engine)
     )
 
     ok = ref_drift < 1e-6 and drone_drift < 1e-6

@@ -318,12 +318,11 @@ class TestCli:
                        "scenario.formation = ring\nseed = 2\nduration = 1.0\n")
         receive, calls = drone.on_pulse_received, []
 
-        def poisoned(recipients, msg, *args):
+        def poisoned(state, ids, filters, msg, *args):
             if not calls:
-                me = next(d for d in recipients if d.id == 1)
-                me.state.phases[me.row, 0] = math.nan
+                state.phases[ids.index(1), 0] = math.nan
             calls.append(msg)
-            return receive(recipients, msg, *args)
+            return receive(state, ids, filters, msg, *args)
 
         monkeypatch.setattr(drone, "on_pulse_received", poisoned)
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3

@@ -1,6 +1,7 @@
 """Drone agent and engine: pairwise updates, clocks, motion, events."""
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -8,12 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swarmpulse import drone as drone_mod
 from swarmpulse import engine as engine_mod
 from swarmpulse import metrics
 from swarmpulse.config import parse_config
 from swarmpulse.drone import (
-    Drone,
     DroneArrays,
     DroneParams,
     advance_clock,
@@ -27,15 +26,22 @@ from swarmpulse.runner import build_drone_engine
 from swarmpulse.scenarios import scenario_text
 from swarmpulse.smoothing import IdentityFilter, make_filter
 
-from helpers import circ_diff
+from helpers import DroneView, circ_diff, drones, hearers
 
 TABLE_PARAMS = DroneParams(k_visible=0.1, k_hidden=-0.1, j=0.8, a=1.0, b=3.0)
 
 
-def drone(drone_id=0, pos=(0.0, 0.0), theta=0.0, hidden=0.0, omega=TAU, hidden_omega=TAU):
+def drone(drone_id=0, pos=(0.0, 0.0), theta=0.0, hidden=0.0, omega=TAU, hidden_omega=TAU,
+          smoother=None):
     """A lone drone on a one-row state of its own."""
     state = DroneArrays([pos], [(0.0, 0.0)], [(theta, hidden)], [(omega, hidden_omega)])
-    return Drone(drone_id, state, 0, IdentityFilter())
+    swarm = SimpleNamespace(state=state, ids=[drone_id], filters=[smoother or IdentityFilter()])
+    return DroneView(swarm, drone_id)
+
+
+def hear(me, msg, params):
+    """`me`'s swarm hears `msg`."""
+    on_pulse_received(me.state, me.swarm.ids, me.swarm.filters, msg, params)
 
 
 def pulse_from(sender, pos, theta, sent_at=0.0, hidden=None):
@@ -66,33 +72,45 @@ def build_engine(seed=0, n=5, positions=None, params=None, events=(), dt=0.005,
 class TestPulseResponse:
     def test_equal_phases_no_visible_change(self):
         me = drone(theta=1.3)
-        on_pulse_received([me], pulse_from(1, (1.0, 0.0), 1.3), TABLE_PARAMS)
+        hear(me, pulse_from(1, (1.0, 0.0), 1.3), TABLE_PARAMS)
         assert me.theta == 1.3
 
     def test_hand_evaluated_visible_kick(self):
         me = drone(theta=0.0)
         params = DroneParams(k_visible=0.1, k_hidden=0.0, j=0.8, a=1.0, b=3.0)
-        on_pulse_received([me], pulse_from(1, (1.0, 0.0), math.pi / 2), params)
+        hear(me, pulse_from(1, (1.0, 0.0), math.pi / 2), params)
         assert me.theta == pytest.approx(0.1)
 
     def test_equilibrium_distance_zero_command(self):
         d_star = TABLE_PARAMS.b / (TABLE_PARAMS.a + TABLE_PARAMS.j)
         me = drone(theta=0.8)
-        on_pulse_received([me], pulse_from(1, (d_star, 0.0), 0.8), TABLE_PARAMS)
+        hear(me, pulse_from(1, (d_star, 0.0), 0.8), TABLE_PARAMS)
         assert np.linalg.norm(me.command) < 1e-12
 
-    def test_own_pulse_rejected(self):
-        me = drone(drone_id=3)
-        with pytest.raises(ValueError):
-            on_pulse_received([me], pulse_from(3, (1.0, 0.0), 0.0), TABLE_PARAMS)
+    def test_own_pulse_not_heard(self):
+        # Rows are drones 2, 3 and 7. Drone 3 sends from where it stands,
+        # so serving its row would also draw from the RNG.
+        state = DroneArrays([(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)], [(0.0, 0.0)] * 3,
+                            [(0.5, 1.0), (0.3, 2.0), (0.1, 3.0)], [(TAU, TAU)] * 3)
+        ids, filters = [2, 3, 7], [make_filter("moving_average", 2) for _ in range(3)]
+        rng = seeded_rng(4)
+        before = {f: getattr(state, f).copy() for f in DroneArrays.FIELDS}
+        rng_before = rng.bit_generator.state
+        on_pulse_received(state, ids, filters, pulse_from(3, (0.0, 0.0), 1.0), TABLE_PARAMS, rng)
+        for f in DroneArrays.FIELDS:
+            assert getattr(state, f)[1].tobytes() == before[f][1].tobytes()
+        assert not filters[1]._buf
+        assert rng.bit_generator.state == rng_before
+        for row in (0, 2):
+            assert len(filters[row]._buf) == 1 and state.command[row].any()
+            assert state.phases[row, 0] != before["phases"][row, 0]
 
     def test_command_pushed_through_filter(self):
-        me = drone()
-        me.filter = make_filter("moving_average", 2)
+        me = drone(smoother=make_filter("moving_average", 2))
         params = DroneParams(k_visible=0.0, k_hidden=0.0, j=0.0, a=1.0, b=0.5, speed_cap=10.0)
-        on_pulse_received([me], pulse_from(1, (1.0, 0.0), 0.0), params)
+        hear(me, pulse_from(1, (1.0, 0.0), 0.0), params)
         first = me.command.copy()
-        on_pulse_received([me], pulse_from(1, (2.0, 0.0), 0.0), params)
+        hear(me, pulse_from(1, (2.0, 0.0), 0.0), params)
         # Raw commands at distance d: (a - b / d, 0), so (0.5, 0) and (0.75, 0).
         raw1, raw2 = vec(0.5, 0.0), vec(0.75, 0.0)
         assert np.allclose(first, raw1)
@@ -101,13 +119,13 @@ class TestPulseResponse:
     def test_speed_cap_applied_after_smoothing(self):
         me = drone()
         params = DroneParams(k_visible=0.0, k_hidden=0.0, j=0.0, a=5.0, b=0.001, speed_cap=0.3)
-        on_pulse_received([me], pulse_from(1, (1.0, 0.0), 0.0), params)
+        hear(me, pulse_from(1, (1.0, 0.0), 0.0), params)
         assert np.linalg.norm(me.command) == pytest.approx(0.3)
 
     def test_hidden_kick_repels_from_fire_instant(self):
         params = DroneParams(k_visible=0.0, k_hidden=-0.1)
         me = drone(hidden=0.3)
-        on_pulse_received([me], pulse_from(1, (1.0, 0.0), 0.0), params)
+        hear(me, pulse_from(1, (1.0, 0.0), 0.0), params)
         # pushed away from the sender's wrap point (0) toward antiphase:
         # psi = 0.3, kick 0.1 * sin(0.3) / (2 - cos(0.3)) = 0.0282886
         assert me.hidden == pytest.approx(0.3 + 0.1 * math.sin(0.3) / (2.0 - math.cos(0.3)))
@@ -116,7 +134,7 @@ class TestPulseResponse:
     def test_hidden_payload_used_when_present(self):
         params = DroneParams(k_visible=0.0, k_hidden=-0.1)
         me = drone(hidden=0.3)
-        on_pulse_received([me], pulse_from(1, (1.0, 0.0), 0.0, hidden=1.0), params)
+        hear(me, pulse_from(1, (1.0, 0.0), 0.0, hidden=1.0), params)
         # psi = 0.3 - 1.0 = -0.7: pushed below the payload reference 1.0,
         # not away from 0; kick 0.1 * sin(0.7) / (2 - cos(0.7)) = 0.0521567
         assert me.hidden == pytest.approx(0.3 - 0.1 * math.sin(0.7) / (2.0 - math.cos(0.7)))
@@ -127,7 +145,7 @@ class TestPulseResponse:
         results = []
         for _ in range(3):
             me = drone(theta=0.4, hidden=2.0, pos=(0.2, -0.1))
-            on_pulse_received([me], pulse_from(9, (1.0, 0.7), 2.2), TABLE_PARAMS)
+            hear(me, pulse_from(9, (1.0, 0.7), 2.2), TABLE_PARAMS)
             results.append((me.theta, me.hidden, me.command.copy()))
         for theta, hidden, cmd in results[1:]:
             assert theta == results[0][0]
@@ -168,7 +186,7 @@ class TestClock:
             positions=[(-0.5, 0.0), (0.5, 0.0)],
             params=DroneParams(k_visible=0.0, k_hidden=0.0),
         )
-        for d, hidden in zip(eng.alive_drones(), (0.0, math.pi)):
+        for d, hidden in zip(drones(eng), (0.0, math.pi)):
             d.hidden = hidden
         eng.run(5.0)
         senders = [s for _, s in eng.fire_log]
@@ -209,7 +227,7 @@ class TestBroadcastStaggering:
         # slightly different kicks they get from the others, a separate
         # limit. This start has every pair of hidden phases more than one
         # airtime apart, so the staggering law alone decides the outcome.
-        hidden = [d.hidden for d in engine.alive_drones()]
+        hidden = [d.hidden for d in drones(engine)]
         airtime_arc = cfg.drone_omega * cfg.medium_airtime
         assert min(
             abs(circ_diff(a, b)) for i, a in enumerate(hidden) for b in hidden[i + 1:]
@@ -243,20 +261,34 @@ class TestEngineInvariants:
     def test_ids_follow_spawn_order_and_are_never_reused(self):
         eng = build_engine(n=3)
         eng.despawn(2)
-        assert eng.add_drone((1.0, 1.0)).id == 3
+        assert eng.add_drone((1.0, 1.0)) == 3
         eng.despawn(0)
-        assert eng.add_drone((1.0, 1.0)).id == 4
-        assert [d.id for d in eng.drones] == [0, 1, 2, 3, 4]
+        assert eng.add_drone((1.0, 1.0)) == 4
+        eng.despawn(2)  # departed already: ignored
         for unknown in (-1, 5):
             with pytest.raises(KeyError):
                 eng.despawn(unknown)
-        assert [d.id for d in eng.alive_drones()] == [1, 3, 4]
+        assert eng.ids == [1, 3, 4] and eng.state.pos.shape == (3, 2)
+
+    @pytest.mark.parametrize("change", ["spawn", "despawn"])
+    def test_membership_change_rebinds_and_does_not_mutate(self, change):
+        eng = build_engine(seed=3, n=3)
+        eng.run(1.0)
+        state, ids, filters = eng.state, eng.ids, eng.filters
+        kept = (state.values.tobytes(), state.rates.tobytes(), list(ids), list(filters))
+        if change == "spawn":
+            eng.add_drone((0.5, 0.5))
+        else:
+            eng.despawn(1)
+        assert (state.values.tobytes(), state.rates.tobytes(), ids, filters) == kept
+        assert eng.state is not state and eng.ids is not ids and eng.filters is not filters
+        assert eng.ids == ([0, 1, 2, 3] if change == "spawn" else [0, 2])
 
     def test_uncoupled_spawned_drone_keeps_offset(self):
         eng = build_engine(n=3, params=DroneParams(k_visible=0.0, k_hidden=-0.1))
-        r0 = metrics.order_parameter([d.theta for d in eng.alive_drones()])
+        r0 = metrics.order_parameter([d.theta for d in drones(eng)])
         eng.run(10.0)
-        r1 = metrics.order_parameter([d.theta for d in eng.alive_drones()])
+        r1 = metrics.order_parameter([d.theta for d in drones(eng)])
         assert r1 == pytest.approx(r0, abs=1e-9)
 
     def test_zero_visible_coupling_leaves_fire_times_unchanged(self):
@@ -280,7 +312,7 @@ class TestEngineInvariants:
             out = []
             for msg in schedule:
                 advance_clock(me.state, 0.05)
-                on_pulse_received([me], msg, params)
+                hear(me, msg, params)
                 out.append(me.theta)
             thetas.append(out)
         assert thetas[0] == thetas[1]
@@ -289,11 +321,11 @@ class TestEngineInvariants:
         shift = 1.3
         base = build_engine(seed=6)
         shifted = build_engine(seed=6)
-        for d in shifted.alive_drones():
+        for d in drones(shifted):
             d.theta = (d.theta + shift) % TAU
         base.run(5.0)
         shifted.run(5.0)
-        for b, s in zip(base.alive_drones(), shifted.alive_drones()):
+        for b, s in zip(drones(base), drones(shifted)):
             assert abs(circ_diff(s.theta, b.theta + shift)) < 1e-9
             assert np.allclose(s.pos, b.pos, atol=1e-9)
 
@@ -310,7 +342,7 @@ class TestEngineInvariants:
         )
         eng.add_drone((-0.4, 0.0))
         eng.add_drone((0.4, 0.0))
-        d0, d1 = eng.alive_drones()
+        d0, d1 = drones(eng)
         d0.theta = d1.theta = 0.5
         d0.hidden = d1.hidden = 2.0
         eng.run(10.0)
@@ -324,10 +356,10 @@ class TestEngineInvariants:
             b = drone(drone_id=1, theta=gap)
             g = gap
             for _ in range(40):
-                on_pulse_received([a], pulse_from(1, (1.0, 0.0), b.theta), params)
+                hear(a, pulse_from(1, (1.0, 0.0), b.theta), params)
                 g_new = abs(circ_diff(b.theta, a.theta))
                 assert g_new < g
-                on_pulse_received([b], pulse_from(0, (-1.0, 0.0), a.theta), params)
+                hear(b, pulse_from(0, (-1.0, 0.0), a.theta), params)
                 g2 = abs(circ_diff(b.theta, a.theta))
                 assert g2 < g_new
                 g = g2
@@ -364,8 +396,8 @@ class TestFrequencyVariation:
     def test_frequencies_drawn_within_bounds(self):
         params = DroneParams(k_visible=0.1, k_hidden=-0.1, freq_var=0.5)
         eng = build_engine(seed=9, n=20, params=params, base_omega=TAU)
-        omegas = [d.omega for d in eng.alive_drones()]
-        hidden_omegas = [d.hidden_omega for d in eng.alive_drones()]
+        omegas = [d.omega for d in drones(eng)]
+        hidden_omegas = [d.hidden_omega for d in drones(eng)]
         for w in omegas + hidden_omegas:
             assert TAU - 0.5 <= w <= TAU + 0.5
         assert len(set(omegas)) > 1
@@ -373,7 +405,7 @@ class TestFrequencyVariation:
 
     def test_zero_variation_all_equal(self):
         eng = build_engine(seed=9, n=4)
-        assert {d.omega for d in eng.alive_drones()} == {TAU}
+        assert {d.omega for d in drones(eng)} == {TAU}
 
 
 class TestEvents:
@@ -381,8 +413,7 @@ class TestEvents:
         events = [ScenarioEvent(time=2.0, kind="despawn", target=1)]
         eng = build_engine(seed=3, n=3, events=events)
         eng.run(6.0)
-        assert not eng.drones[1].alive
-        assert len(eng.alive_drones()) == 2
+        assert eng.ids == [0, 2]
         late_fires = [s for t, s in eng.fire_log if t > 2.0 + eng.dt]
         assert 1 not in late_fires
 
@@ -392,18 +423,18 @@ class TestEvents:
         eng = build_engine(n=5, positions=positions,
                            params=DroneParams(k_visible=0.0, k_hidden=0.0), events=events)
         eng.run(1.5)
-        assert not eng.drones[4].alive
+        assert eng.ids == [0, 1, 2, 3]
 
     def test_spawn_event_adds_listening_drone(self):
         events = [ScenarioEvent(time=1.0, kind="spawn", pos=np.array([2.0, 0.0]))]
         eng = build_engine(seed=4, n=2, events=events)
         eng.run(4.0)
-        assert len(eng.alive_drones()) == 3
+        assert eng.ids == [0, 1, 2]
         assert any(s == 2 for _, s in eng.fire_log)
 
     def test_blowup_detected_and_named(self):
         eng = build_engine(n=2, positions=[(0.0, 0.0), (1.0, 0.0)])
-        eng.drones[1].command = vec(math.inf, 0.0)
+        DroneView(eng, 1).command = vec(math.inf, 0.0)
         with pytest.raises(NumericBlowup) as exc:
             eng.run(0.1)
         assert exc.value.agent_id == 1
@@ -417,20 +448,16 @@ class TestRoster:
     @pytest.fixture
     def heard(self, monkeypatch):
         """(receiver id, sender id) of every reception, in order."""
-        log = []
-        receive = drone_mod.on_pulse_received
-        monkeypatch.setattr(
-            drone_mod, "on_pulse_received",
-            lambda ds, p, *a: log.extend((d.id, p.sender) for d in ds) or receive(ds, p, *a),
-        )
-        return log
+        return hearers(monkeypatch)
 
     def engine_with_pulse_in_flight(self, n):
         # Drone 0 fires at t = 0.011 and its pulse lands at 0.061; the
         # others' hidden phases start at 0, so they fire only at t = 1.
         eng = build_engine(n=0, airtime=0.05)
         for i in range(n):
-            eng.add_drone(vec(float(i), 0.0)).hidden = TAU * (1.0 - 0.011) if i == 0 else 0.0
+            DroneView(eng, eng.add_drone(vec(float(i), 0.0))).hidden = (
+                TAU * (1.0 - 0.011) if i == 0 else 0.0
+            )
         eng.run(0.03)
         assert eng.fire_log == [(pytest.approx(0.011), 0)] and eng.medium.in_flight() == 1
         return eng
@@ -449,41 +476,42 @@ class TestRoster:
 
 
 class TestHandleWrites:
-    """Writes through the engine's handles mid-run land in its arrays."""
+    """Writes to the engine's rows mid-run, through test views, take
+    effect."""
 
     def test_zero_omega_freezes_theta_mid_run(self):
         eng = build_engine(seed=7, n=4, params=DroneParams(k_visible=0.0, k_hidden=-0.1))
         eng.run(1.0)
-        eng.drones[2].omega = 0.0
-        before = {d.id: d.theta for d in eng.alive_drones()}
+        DroneView(eng, 2).omega = 0.0
+        before = {d.id: d.theta for d in drones(eng)}
         eng.run(2.5)
-        after = {d.id: d.theta for d in eng.alive_drones()}
+        after = {d.id: d.theta for d in drones(eng)}
         assert after[2] == before[2]
         assert all(after[i] != before[i] for i in after if i != 2)
 
     def test_pos_and_command_writes_integrate_exactly(self):
         eng = build_engine(seed=7, n=3)
         eng.run(0.5)
-        for d in eng.alive_drones():
+        for d in drones(eng):
             d.hidden_omega = 0.0  # no further broadcasts
         eng.run(0.5 + 2 * eng.dt)  # pulses already in flight land
         assert eng.medium.in_flight() == 0
-        d = eng.drones[1]
+        d = DroneView(eng, 1)
         d.pos = vec(0.3, -0.2)
         d.command = vec(0.125, -0.0625)
         eng.step()
         assert np.array_equal(d.pos, vec(0.3, -0.2) + vec(0.125, -0.0625) * eng.dt)
         assert np.array_equal(d.command, vec(0.125, -0.0625))
 
-    def test_departed_drone_keeps_its_last_state(self):
+    def test_despawn_keeps_the_other_rows(self):
         eng = build_engine(seed=3, n=3)
         eng.run(1.0)
-        d = eng.drones[1]
-        last = (d.theta, d.hidden, d.pos)
+        state, filters = eng.state, eng.filters
         eng.despawn(1)
-        eng.run(2.0)
-        assert (d.theta, d.hidden) == last[:2] and np.array_equal(d.pos, last[2])
-        assert [a.id for a in eng.alive_drones()] == [0, 2]
+        assert eng.ids == [0, 2]
+        assert all(a is b for a, b in zip(eng.filters, filters[::2], strict=True))
+        for f in DroneArrays.FIELDS:
+            assert getattr(eng.state, f).tobytes() == getattr(state, f)[[0, 2]].tobytes()
 
 
 class TestOverflow:
@@ -509,7 +537,7 @@ class TestOverflow:
     def test_non_finite_state_named_at_next_tick(self, field, col, value, agent):
         eng = build_engine(seed=2, n=4)
         eng.run(0.5)
-        getattr(eng.state, field)[eng.drones[agent].row, col] = value
+        getattr(eng.state, field)[eng.ids.index(agent), col] = value
         with pytest.raises(NumericBlowup) as exc:
             eng.run(1.0)
         assert (exc.value.tick, exc.value.agent_id) == (101, agent)
@@ -522,7 +550,7 @@ class TestOverflow:
                            + "scenario.n = 4\nscenario.formation = ring\nseed = 2\n")
         eng = build_drone_engine(cfg)
         eng.run(55 * eng.dt)
-        eng.state.phases[eng.drones[agent].row, col] = math.nan
+        eng.state.phases[eng.ids.index(agent), col] = math.nan
         with pytest.raises(NumericBlowup) as exc:
             eng.step()
         assert (exc.value.tick, exc.value.agent_id) == (56, agent)
@@ -530,9 +558,9 @@ class TestOverflow:
     def test_non_finite_phase_of_a_firing_drone_named(self):
         eng = build_engine(seed=2, n=4)
         eng.run(1.0)
-        for d in eng.alive_drones():
+        for d in drones(eng):
             d.hidden = TAU - d.hidden_omega * eng.dt / 2  # every drone fires next tick
-        eng.state.phases[eng.drones[2].row, 0] = math.nan
+        eng.state.phases[eng.ids.index(2), 0] = math.nan
         with pytest.raises(NumericBlowup) as exc:
             eng.step()
         assert (exc.value.tick, exc.value.agent_id) == (201, 2)
@@ -541,8 +569,8 @@ class TestOverflow:
         # Drones 1 and 3 are 2e154 apart; each is 1e154 from the others.
         eng = build_engine(seed=2, n=4)
         eng.run(0.5)
-        eng.drones[1].pos = vec(-1e154, 0.0)
-        eng.drones[3].pos = vec(1e154, 0.0)
+        DroneView(eng, 1).pos = vec(-1e154, 0.0)
+        DroneView(eng, 3).pos = vec(1e154, 0.0)
         with pytest.raises(NumericBlowup) as exc:
             eng.run(1.0)
         assert (exc.value.tick, exc.value.agent_id) == (101, 1)
@@ -569,7 +597,7 @@ class TestDeterminism:
         a.run(8.0)
         b.run(8.0)
         assert a.fire_log == b.fire_log
-        for da, db in zip(a.alive_drones(), b.alive_drones()):
+        for da, db in zip(drones(a), drones(b)):
             assert da.theta == db.theta
             assert da.hidden == db.hidden
             assert np.array_equal(da.pos, db.pos)
@@ -608,7 +636,7 @@ def glide_setups(draw):
         "durations": [duration * draw(st.floats(0.0, 1.0)), duration]
         if draw(st.booleans()) else [duration],
         "sample_every": draw(st.sampled_from([1, 4, 7])),
-        # Between split calls, write a command with a -0.0 through a handle.
+        # Between split calls, write a command with a -0.0 through a test view.
         "poke": draw(st.booleans()),
         # 720 floats make glides of at most 9 ticks at n = 12
         "cap": draw(st.sampled_from([engine_mod.GLIDE_FLOATS, 720])),
@@ -650,7 +678,7 @@ def step_by_step(eng, duration, sample_every=1, log=()):
     log = list(log)
 
     def sample():
-        log.append((eng.t, eng.state.values.tobytes(), [d.id for d in eng.alive_drones()],
+        log.append((eng.t, eng.state.values.tobytes(), eng.ids,
                     eng.medium.stats.collisions))
 
     total = int(round(duration / eng.dt))
@@ -685,7 +713,7 @@ class TestRunMatchesStep:
             for call, duration in enumerate(setup["durations"]):
                 if call and setup["poke"]:
                     for eng in (glided, stepped):
-                        eng.alive_drones()[-1].command = vec(0.0625, -0.0)
+                        drones(eng)[-1].command = vec(0.0625, -0.0)
                 glided.run(duration, every)
                 stepped_log = step_by_step(stepped, duration, every, stepped_log)
         assert kept_samples(glided) == stepped_log
@@ -720,9 +748,9 @@ class TestRunMatchesStep:
         for _ in range(2):
             eng = build_engine(n=0)
             for x in (0.0, 1.0):
-                d = eng.add_drone(vec(x, 0.0))
+                d = DroneView(eng, eng.add_drone(vec(x, 0.0)))
                 d.theta = d.hidden = 0.0
-            eng.drones[1].omega = -0.0
+            DroneView(eng, 1).omega = -0.0
             eng.step()
             eng.state.phases[1, 0] = -0.0
             engines.append(eng)
@@ -730,7 +758,7 @@ class TestRunMatchesStep:
         glided.run(0.5)
         step_by_step(stepped, 0.5)
         assert glided.state.values.tobytes() == stepped.state.values.tobytes()
-        assert math.copysign(1.0, glided.drones[1].theta) == 1.0
+        assert math.copysign(1.0, DroneView(glided, 1).theta) == 1.0
 
     def test_call_of_no_ticks_keeps_t0_once(self):
         split, whole = build_engine(seed=3, n=4), build_engine(seed=3, n=4)

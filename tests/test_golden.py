@@ -41,6 +41,8 @@ from swarmpulse.reference import SwarmParams, init_state
 from swarmpulse.runner import _sample_every, build_drone_engine, run_config
 from swarmpulse.scenarios import SCENARIO_NAMES, scenario_text
 
+from helpers import drones
+
 HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "golden_hashes.json").read_text())
 GOLDEN_VARIANTS = json.loads((HERE / "golden_variant_hashes.json").read_text())
@@ -160,7 +162,7 @@ def test_variant_reaches_its_path(name, monkeypatch):
         assert round(cfg.duration / cfg.dt) % _sample_every(cfg) != 0
         return
     engine = build_drone_engine(cfg)
-    alive = engine.alive_drones()
+    alive = drones(engine)
     if name == "crowd_n80_drop_all":
         engine.run(cfg.duration)
         assert len(alive) == 80 and engine.medium.stats.dropped > 0
@@ -182,17 +184,17 @@ def test_variant_reaches_its_path(name, monkeypatch):
         draw = drone.random_unit
         monkeypatch.setattr(drone, "random_unit", lambda rng: fallbacks.append(1) or draw(rng))
         engine.run(cfg.dt)
-        *rest, spawned = engine.alive_drones()
+        *rest, spawned = drones(engine)
         assert any(math.dist(d.pos, spawned.pos) == 0.0 for d in rest)
         engine.run(cfg.duration)
-        assert fallbacks and len(engine.alive_drones()) == len(alive)
+        assert fallbacks and len(engine.ids) == len(alive)
     elif name == "churn_in_flight":
         for event in cfg.events:
             engine.run(event.time)
             pending = [s for t, s in engine.fire_log if t + cfg.medium_airtime > event.time]
             assert engine.medium.in_flight() == len(pending) > 0
         # The despawned drone 6 has a pulse of its own still in flight.
-        assert 6 in pending and 6 not in [d.id for d in engine.alive_drones()]
+        assert 6 in pending and 6 not in engine.ids
     elif name == "slow_clocks":
         rates = [r for d in alive for r in (d.omega, d.hidden_omega)]
         assert min(rates) > 0.0 and len(set(rates)) == len(rates)

@@ -10,6 +10,8 @@ from swarmpulse.engine import DroneSwarmEngine
 from swarmpulse.geometry import seeded_rng, vec
 from swarmpulse.medium import COLLISION_POLICIES, BroadcastMedium, PulseMessage
 
+from helpers import hearers
+
 
 def msg(sender, sent_at, theta=0.0):
     return PulseMessage(sender=sender, pos=vec(0.0, 0.0), theta=theta, sent_at=sent_at)
@@ -53,10 +55,7 @@ class TestDelivery:
     def test_sender_never_receives_own_pulse(self, monkeypatch):
         # The engine hands each surviving pulse to every living drone
         # except its sender.
-        heard = []
-        receive = drone.on_pulse_received
-        monkeypatch.setattr(drone, "on_pulse_received",
-                            lambda ds, p, *a: heard.extend((d.id, p) for d in ds) or receive(ds, p, *a))
+        heard = hearers(monkeypatch)
         eng = DroneSwarmEngine(params=drone.DroneParams(), medium=medium(),
                                rng=seeded_rng(5))
         for i in range(5):
@@ -64,7 +63,7 @@ class TestDelivery:
         eng.run(3.0)
         assert eng.medium.stats.delivered > 0
         assert len(heard) == 4 * eng.medium.stats.delivered
-        assert all(rid != p.sender for rid, p in heard)
+        assert all(rid != sender for rid, sender in heard)
 
 
 class TestCollisions:

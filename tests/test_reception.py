@@ -1,9 +1,9 @@
 """One reception call per delivery equals one call per recipient.
 
-`drone.on_pulse_received` serves every recipient of a pulse in one call,
-reading the state once as Python floats and writing it back once. These
-tests pin it, bit for bit, to the one-recipient-per-call function it
-replaced, kept below as `reference_receive`: phases, commands, filter
+`drone.on_pulse_received` serves every row but the sender's in one
+call, reading the state once as Python floats and writing it back once.
+These tests pin it, bit for bit, to the one-recipient-per-call function
+it replaced, kept below as `reference_receive`: phases, commands, filter
 state and the RNG state must all come out the same.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmpulse.drone import Drone, DroneArrays, DroneParams, on_pulse_received
+from swarmpulse.drone import DroneArrays, DroneParams, on_pulse_received
 from swarmpulse.geometry import (
     EPSILON_DIST,
     TAU,
@@ -41,11 +41,8 @@ def reference_movement_command(delta, phase_diff, params, rng=None):
     return ux * scale, uy * scale
 
 
-def reference_receive(me, msg, params, rng=None):
+def reference_receive(state, row, smoother, msg, params, rng=None):
     """The per-recipient reception: one drone, one pulse, one call."""
-    if msg.sender == me.id:
-        raise ValueError(f"drone {me.id} received its own pulse")
-    state, row = me.state, me.row
     phases = state.phases
     theta, hidden = phases[row].tolist()
     phase_diff = msg.theta - theta
@@ -61,7 +58,7 @@ def reference_receive(me, msg, params, rng=None):
 
     x, y = state.pos[row].tolist()
     sx, sy = msg.pos
-    cx, cy = me.filter.push(
+    cx, cy = smoother.push(
         reference_movement_command((sx - x, sy - y), phase_diff, params, rng)
     )
     speed = math.hypot(cx, cy)
@@ -92,11 +89,12 @@ smoothing = st.one_of(
 
 @st.composite
 def deliveries(draw):
-    """A swarm on one state, its recipients, and 1-3 pulses for them."""
+    """A swarm on one state, its ascending ids, and 1-3 pulses for it."""
     n_recipients = draw(st.integers(1, 80))
     sender_alive = draw(st.booleans())
     n = n_recipients + sender_alive
-    sender = draw(st.integers(0, n - 1)) if sender_alive else n + 7
+    ids = sorted(draw(st.lists(st.integers(0, 500), min_size=n, max_size=n, unique=True)))
+    sender = draw(st.sampled_from(ids)) if sender_alive else 501
     params = DroneParams(
         k_visible=draw(st.sampled_from([0.0, 0.1]) | st.floats(-1.0, 1.0)),
         k_hidden=draw(st.sampled_from([0.0, -0.1]) | st.floats(-1.0, 0.0)),
@@ -119,43 +117,39 @@ def deliveries(draw):
             pos[row] = (sx + offset, sy)
         hidden = draw(st.none() | angles)
         msgs.append(PulseMessage(sender, (sx, sy), draw(angles), 0.1 * k, hidden))
-    return params, pos, phases, commands, msgs, draw(smoothing), draw(st.integers(0, 2**32))
+    return params, ids, pos, phases, commands, msgs, draw(smoothing), draw(st.integers(0, 2**32))
 
 
 def swarm(pos, phases, commands, mode):
     state = DroneArrays(pos, commands, phases, [(TAU, TAU)] * len(pos))
-    drones = [Drone(i, state, i, make_filter(*mode)) for i in range(len(pos))]
-    return state, drones
+    return state, [make_filter(*mode) for _ in pos]
 
 
 @settings(max_examples=300, deadline=None)
 @given(deliveries())
 def test_one_call_per_delivery_equals_one_call_per_recipient(case):
-    params, pos, phases, commands, msgs, mode, seed = case
-    ref_state, ref_drones = swarm(pos, phases, commands, mode)
-    new_state, new_drones = swarm(pos, phases, commands, mode)
+    params, ids, pos, phases, commands, msgs, mode, seed = case
+    ref_state, ref_filters = swarm(pos, phases, commands, mode)
+    new_state, new_filters = swarm(pos, phases, commands, mode)
     ref_rng, new_rng = seeded_rng(seed), seeded_rng(seed)
     # Give every filter some history before the deliveries.
-    for d in ref_drones + new_drones:
-        d.filter.push((0.25, -0.125))
+    for f in ref_filters + new_filters:
+        f.push((0.25, -0.125))
 
     for msg in msgs:
-        for d in ref_drones:
-            if d.id != msg.sender:
-                reference_receive(d, msg, params, ref_rng)
-        on_pulse_received(
-            [d for d in new_drones if d.id != msg.sender], msg, params, new_rng
-        )
+        for row, (drone_id, f) in enumerate(zip(ids, ref_filters)):
+            if drone_id != msg.sender:
+                reference_receive(ref_state, row, f, msg, params, ref_rng)
+        on_pulse_received(new_state, ids, new_filters, msg, params, new_rng)
 
     assert new_state.values.tobytes() == ref_state.values.tobytes()
-    assert [filter_state(d.filter) for d in new_drones] == [
-        filter_state(d.filter) for d in ref_drones
-    ]
+    assert [filter_state(f) for f in new_filters] == [filter_state(f) for f in ref_filters]
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_no_recipients_changes_nothing():
-    state, _ = swarm([(0.0, 0.0)], [(1.0, 2.0)], [(0.5, 0.5)], ("none", 10, 0.8))
+    # The only row is the sender's.
+    state, filters = swarm([(0.0, 0.0)], [(1.0, 2.0)], [(0.5, 0.5)], ("none", 10, 0.8))
     before = state.values.copy()
-    on_pulse_received([], PulseMessage(0, (1.0, 0.0), 0.0, 0.0), DroneParams())
+    on_pulse_received(state, [0], filters, PulseMessage(0, (1.0, 0.0), 0.0, 0.0), DroneParams())
     assert np.array_equal(state.values, before)
