@@ -28,7 +28,7 @@ line-level diagnostics and exit 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -112,45 +112,33 @@ class ScenarioConfig:
     medium_collision_policy: str = "drop_all"
 
 
-_FLOAT_KEYS = {
-    "duration": "duration",
-    "dt": "dt",
-    "trace_rate": "trace_rate",
-    "pulse.k": "pulse_k",
-    "pulse.rate": "pulse_rate",
-    "ref.k": "ref_k",
-    "ref.j": "ref_j",
-    "ref.a": "ref_a",
-    "ref.b": "ref_b",
-    "ref.omega": "ref_omega",
-    "ref.freq_var": "ref_freq_var",
-    "drone.k_visible": "drone_k_visible",
-    "drone.k_hidden": "drone_k_hidden",
-    "drone.j": "drone_j",
-    "drone.a": "drone_a",
-    "drone.b": "drone_b",
-    "drone.omega": "drone_omega",
-    "drone.freq_var": "drone_freq_var",
-    "drone.speed_cap": "drone_speed_cap",
-    "smoothing.alpha": "smoothing_alpha",
-    "medium.airtime": "medium_airtime",
-}
-_INT_KEYS = {
-    "seed": "seed",
+def _bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {value!r}")
+    return value.lower() == "true"
+
+
+# A field `<section>_<rest>` of one of these sections is the key
+# `<section>.<rest>` and any other field is its own name, but a field
+# with aliases answers to them alone.
+_SECTIONS = ("pulse", "ref", "drone", "smoothing", "medium")
+_ALIASES = {
     "scenario.n": "n",
     "pulse.n": "n",
     "ref.n": "n",
-    "smoothing.window": "smoothing_window",
-}
-_STR_KEYS = {
-    "model": "model",
     "scenario.formation": "formation",
-    "smoothing.mode": "smoothing_mode",
-    "medium.collision_policy": "medium_collision_policy",
     "output.dir": "out_dir",
-}
-_BOOL_KEYS = {
     "drone.hidden_phase_in_payload": "drone_hidden_in_payload",
+}
+# `Field.type` is the annotation's text: this module postpones annotations.
+_PARSERS = {"float": float, "int": int, "str": str, "str | None": str, "bool": _bool}
+# Every key but `scenario.events`: key -> (field name, value parser).
+_KEYS = {
+    key: (f.name, _PARSERS[f.type])
+    for f in fields(ScenarioConfig)
+    if f.name != "events"
+    for key in [alias for alias, name in _ALIASES.items() if name == f.name]
+    or [f.name.replace("_", ".", 1) if f.name.split("_")[0] in _SECTIONS else f.name]
 }
 
 
@@ -192,19 +180,12 @@ def parse_config(text: str) -> ScenarioConfig:
         try:
             if key == "scenario.events":
                 cfg.events.append(_parse_event(value))
-            elif key in _FLOAT_KEYS:
-                number = float(value)
-                if not math.isfinite(number):
+            elif key in _KEYS:
+                name, parse = _KEYS[key]
+                parsed = parse(value)
+                if parse is float and not math.isfinite(parsed):
                     raise ValueError(f"{key} must be finite, got {value!r}")
-                setattr(cfg, _FLOAT_KEYS[key], number)
-            elif key in _INT_KEYS:
-                setattr(cfg, _INT_KEYS[key], int(value))
-            elif key in _STR_KEYS:
-                setattr(cfg, _STR_KEYS[key], value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {value!r}")
-                setattr(cfg, _BOOL_KEYS[key], value.lower() == "true")
+                setattr(cfg, name, parsed)
             else:
                 problems.append((lineno, f"unknown key {key!r}"))
         except ValueError as exc:
@@ -225,12 +206,15 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
     if cfg.model not in MODELS:
         bad(f"model must be one of {MODELS}, got {cfg.model!r}")
-    if cfg.duration <= 0.0:
-        bad(f"duration must be > 0, got {cfg.duration}")
-    if cfg.dt <= 0.0:
-        bad(f"dt must be > 0, got {cfg.dt}")
-    if cfg.trace_rate <= 0.0:
-        bad(f"trace_rate must be > 0, got {cfg.trace_rate}")
+    for key in ("duration", "dt", "trace_rate", "pulse.rate", "ref.a", "ref.b", "drone.a",
+                "drone.b", "drone.speed_cap"):
+        number = getattr(cfg, _KEYS[key][0])
+        if number <= 0.0:
+            bad(f"{key} must be > 0, got {number}")
+    for key in ("pulse.k", "ref.freq_var", "drone.freq_var", "medium.airtime"):
+        number = getattr(cfg, _KEYS[key][0])
+        if number < 0.0:
+            bad(f"{key} must be >= 0, got {number}")
     if not 0 <= cfg.seed < 2**64:
         bad(f"seed must be a 64-bit unsigned integer, got {cfg.seed}")
     if cfg.n < 1:
@@ -245,21 +229,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad(f"smoothing.window must be >= 1, got {cfg.smoothing_window}")
     if not 0.0 < cfg.smoothing_alpha <= 1.0:
         bad(f"smoothing.alpha must be in (0, 1], got {cfg.smoothing_alpha}")
-    if cfg.medium_airtime < 0.0:
-        bad(f"medium.airtime must be >= 0, got {cfg.medium_airtime}")
     if cfg.medium_collision_policy not in COLLISION_POLICIES:
         bad(f"medium.collision_policy must be one of {COLLISION_POLICIES}")
     if cfg.drone_k_hidden > 0.0:
         bad(f"drone.k_hidden must be <= 0, got {cfg.drone_k_hidden}")
-    for key, value in (("drone.a", cfg.drone_a), ("drone.b", cfg.drone_b),
-                       ("drone.speed_cap", cfg.drone_speed_cap), ("ref.a", cfg.ref_a),
-                       ("ref.b", cfg.ref_b), ("pulse.rate", cfg.pulse_rate)):
-        if value <= 0.0:
-            bad(f"{key} must be > 0, got {value}")
-    for key, value in (("drone.freq_var", cfg.drone_freq_var),
-                       ("ref.freq_var", cfg.ref_freq_var), ("pulse.k", cfg.pulse_k)):
-        if value < 0.0:
-            bad(f"{key} must be >= 0, got {value}")
     if cfg.model == "drone":
         wraps = (cfg.drone_omega + cfg.drone_freq_var) * cfg.dt / (2.0 * math.pi)
         if wraps > MAX_WRAPS_PER_TICK:
