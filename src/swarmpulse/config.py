@@ -21,19 +21,23 @@ Example::
     drone.k_hidden = -0.1
     ...
 
-Parse errors carry the offending line number so the CLI can print
-line-level diagnostics and exit 2.
+Every other key names a `ScenarioConfig` field and is parsed by its
+type: `<section>.<rest>` is `<section>_<rest>` in the pulse, ref, drone,
+smoothing and medium sections, other keys are field names, and
+`_ALIASES` replaces four fields' keys. Parse errors carry the offending
+line number so the CLI can print line-level diagnostics and exit 2.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .engine import ScenarioEvent
-from .geometry import COORD_LIMIT
+from .geometry import COORD_LIMIT, seeded_rng
 from .medium import COLLISION_POLICIES
 from .smoothing import MODES as SMOOTHING_MODES
 
@@ -118,9 +122,6 @@ def _bool(value: str) -> bool:
     return value.lower() == "true"
 
 
-# A field `<section>_<rest>` of one of these sections is the key
-# `<section>.<rest>` and any other field is its own name, but a field
-# with aliases answers to them alone.
 _SECTIONS = ("pulse", "ref", "drone", "smoothing", "medium")
 _ALIASES = {
     "scenario.n": "n",
@@ -204,17 +205,31 @@ def validate_config(cfg: ScenarioConfig) -> None:
     def bad(msg: str) -> None:
         problems.append((None, msg))
 
+    def value(key: str):
+        return getattr(cfg, _KEYS[key][0])
+
     if cfg.model not in MODELS:
         bad(f"model must be one of {MODELS}, got {cfg.model!r}")
     for key in ("duration", "dt", "trace_rate", "pulse.rate", "ref.a", "ref.b", "drone.a",
                 "drone.b", "drone.speed_cap"):
-        number = getattr(cfg, _KEYS[key][0])
-        if number <= 0.0:
-            bad(f"{key} must be > 0, got {number}")
+        if value(key) <= 0.0:
+            bad(f"{key} must be > 0, got {value(key)}")
     for key in ("pulse.k", "ref.freq_var", "drone.freq_var", "medium.airtime"):
-        number = getattr(cfg, _KEYS[key][0])
-        if number < 0.0:
-            bad(f"{key} must be >= 0, got {number}")
+        if value(key) < 0.0:
+            bad(f"{key} must be >= 0, got {value(key)}")
+    # A run steps round(duration / dt) ticks and samples every
+    # round(1 / (trace_rate * dt)) of them: both must be finite.
+    ticks = cfg.duration / cfg.dt if cfg.dt > 0.0 else math.nan
+    if ticks == math.inf:
+        bad(f"duration = {cfg.duration} over dt = {cfg.dt} makes infinitely many ticks")
+    per_tick = cfg.trace_rate * cfg.dt
+    if min(cfg.trace_rate, cfg.dt) > 0.0 and (per_tick == 0.0 or 1.0 / per_tick == math.inf):
+        bad(f"trace_rate = {cfg.trace_rate} at dt = {cfg.dt} makes infinitely many "
+            "ticks between samples")
+    for omega, spread in (("ref.omega", "ref.freq_var"), ("drone.omega", "drone.freq_var")):
+        base, var = value(omega), value(spread)
+        if not (base + var) - (base - var) < math.inf:
+            bad(f"{omega} +/- {spread} must span a finite range, got {base} +/- {var}")
     if not 0 <= cfg.seed < 2**64:
         bad(f"seed must be a 64-bit unsigned integer, got {cfg.seed}")
     if cfg.n < 1:
@@ -227,6 +242,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad(f"smoothing.mode must be one of {SMOOTHING_MODES}, got {cfg.smoothing_mode!r}")
     if cfg.smoothing_window < 1:
         bad(f"smoothing.window must be >= 1, got {cfg.smoothing_window}")
+    elif cfg.smoothing_window > sys.maxsize:
+        bad(f"smoothing.window must be <= {sys.maxsize}, got {cfg.smoothing_window}")
     if not 0.0 < cfg.smoothing_alpha <= 1.0:
         bad(f"smoothing.alpha must be in (0, 1], got {cfg.smoothing_alpha}")
     if cfg.medium_collision_policy not in COLLISION_POLICIES:
@@ -243,9 +260,15 @@ def validate_config(cfg: ScenarioConfig) -> None:
             f"of dt = {cfg.dt}; at most {MAX_WRAPS_PER_TICK:g} are allowed")
     if cfg.model == "reference_swarmalator" and cfg.n < 3:
         bad(f"ref.n must be >= 3 (the summary reports the rainbow correlation), got {cfg.n}")
+    if cfg.events and cfg.model != "drone":
+        bad(f"scenario.events apply to the drone model only, not to {cfg.model!r}")
+    # The engine's test: no event applies after its last tick ends (+1e-12).
+    end = round(ticks) * cfg.dt if math.isfinite(ticks) else math.inf
     for ev in cfg.events:
         if not 0.0 <= ev.time <= cfg.duration:
             bad(f"event time {ev.time} outside run [0, {cfg.duration}]")
+        elif end == 0.0 or ev.time > end + 1e-12:
+            bad(f"event time {ev.time} is never reached: the run's ticks end at t={end:.9g}")
         if ev.kind == "spawn" and not max(abs(c) for c in ev.pos) < COORD_LIMIT:
             bad(f"spawn at t={ev.time}: position {tuple(ev.pos)} must have every "
                 f"coordinate below {COORD_LIMIT:.3g} in magnitude")
@@ -261,8 +284,6 @@ def formation_positions(cfg: ScenarioConfig) -> list[np.ndarray]:
     the scenario seed, so two configs differing only in formation still
     draw identical phases for their agents.
     """
-    from .geometry import seeded_rng
-
     if cfg.formation == "quincunx":
         return [np.array(p, dtype=np.float64) for p in QUINCUNX_POSITIONS]
     if cfg.formation == "random":

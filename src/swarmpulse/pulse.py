@@ -21,6 +21,7 @@ cascade are served FIFO with receivers visited in ascending id.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from .geometry import unit_phase_dist, wrap_unit_phase
@@ -31,13 +32,17 @@ def receive_pulse(theta: float, k: float) -> float:
 
     Returns the raw response value; a result >= 1.0 means the receiver
     fires immediately (absorption). Guarded so the output is never below
-    the input even when the sqrt/square round trip rounds down.
+    the input even when the sqrt/square round trip rounds down; a
+    response too large for a float is infinite.
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError(f"unit phase out of range: {theta}")
     if k < 0.0:
         raise ValueError(f"coupling must be >= 0, got {k}")
-    response = (theta ** 0.5 + k) ** 2
+    try:
+        response = (theta ** 0.5 + k) ** 2
+    except OverflowError:
+        return math.inf
     return response if response > theta else theta
 
 

@@ -31,6 +31,15 @@ pulse.k = 0.05
 pulse.rate = 1.0
 """
 
+MINI_REF = """
+model = reference_swarmalator
+duration = 1.0
+dt = 0.01
+seed = 1
+trace_rate = 10.0
+ref.n = 4
+"""
+
 MINI_DRONE = """
 model = drone
 duration = 2.0
@@ -420,6 +429,53 @@ class TestCli:
         err = capsys.readouterr().err
         assert line.split()[0] in err and "wraps per tick" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "base, lines, named",
+        [
+            # The tick count round(duration / dt) is infinite.
+            *[(base, line, ("duration", "dt"))
+              for base in ("pulse", "ref", "drone")
+              for line in ("dt = 5e-324", "duration = 1e308")],
+            # The sample interval round(1 / (trace_rate * dt)) is infinite.
+            *[(base, "trace_rate = 5e-324", ("trace_rate", "dt"))
+              for base in ("pulse", "ref", "drone")],
+            ("drone", "trace_rate = 1e-320", ("trace_rate", "dt")),
+            # The uniform draw of natural rates spans an infinite range.
+            ("ref", "ref.freq_var = 1e308", ("ref.omega", "ref.freq_var")),
+            ("drone", "drone.omega = -1e308\ndrone.freq_var = 1e308",
+             ("drone.omega", "drone.freq_var")),
+            # The window is too large for a deque.
+            ("drone", f"smoothing.window = {2**63}", ("smoothing.window",)),
+            # Events apply to the drone model only.
+            ("ref", "scenario.events = 0.5 despawn 2", ("scenario.events",)),
+            ("pulse", "scenario.events = 0.5 spawn 0 0", ("scenario.events",)),
+            # The last tick ends at 0.9 s, before the event.
+            ("drone", "duration = 1.0\ndt = 0.3\nscenario.events = 0.95 spawn 0.3 0.3",
+             ("event time 0.95", "never reached")),
+        ],
+    )
+    def test_config_the_run_cannot_follow_exits_2_naming_keys(
+        self, tmp_path, capsys, base, lines, named
+    ):
+        text = {"pulse": MINI_PULSE, "ref": MINI_REF, "drone": MINI_DRONE}[base]
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(text + lines + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in named) and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["1e200", "1e308"])
+    def test_pulse_coupling_too_large_for_a_float_runs(self, tmp_path, capsys, k):
+        # Every response overflows to infinity, so every receiver is absorbed.
+        cfg = tmp_path / "strong.cfg"
+        cfg.write_text(MINI_PULSE + f"pulse.k = {k}\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "strong" / "summary.json").read_text())
+        assert summary["final"]["order_param"] == pytest.approx(1.0)
 
 
 class TestCompare:

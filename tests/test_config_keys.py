@@ -1,5 +1,6 @@
 """The config keys: each key's field and type, and README's key table."""
 
+import contextlib
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from swarmpulse.config import ConfigError, ScenarioConfig, parse_config
+from swarmpulse.engine import NumericBlowup, ScenarioEventError
+from swarmpulse.runner import run_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -113,3 +116,73 @@ def test_readme_config_table_names_exactly_the_keys():
     named = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
     assert len(named) == len(set(named))
     assert set(named) == set(KEYS) | {"scenario.events"}
+
+
+# A short run of each model, to which the sweep adds one line.
+SHORT = {
+    "pulse": "model = pulse\nduration = 1.0\ndt = 0.01\ntrace_rate = 10.0\npulse.n = 3\n",
+    "reference_swarmalator": (
+        "model = reference_swarmalator\nduration = 1.0\ndt = 0.01\ntrace_rate = 10.0\n"
+        "ref.n = 3\n"
+    ),
+    "drone": (
+        "model = drone\nduration = 1.0\ndt = 0.01\ntrace_rate = 10.0\nscenario.n = 3\n"
+        "scenario.formation = ring\n"
+    ),
+}
+SECTION_MODELS = {
+    "pulse": ("pulse",),
+    "ref": ("reference_swarmalator",),
+    "drone": ("drone",),
+    "smoothing": ("drone",),
+    "medium": ("drone",),
+}
+EXTREMES = {
+    float: ("0", "-0.0", "5e-324", "-5e-324", "1e308", "-1e308"),
+    int: ("-1", "0", str(2**63), str(2**64)),
+    str: ("", "bogus"),
+    bool: ("maybe",),
+}
+# Larger swarms are a question of memory, not of the values' range.
+AGENT_COUNTS = ("-1", "0", "1", "2", "3")
+SWEEP = [
+    (key, model)
+    for key in KEYS
+    if key != "output.dir"
+    for model in SECTION_MODELS.get(key.partition(".")[0], tuple(SHORT))
+]
+# Only the config errors, event errors and blow-ups that the CLI maps to
+# exit 2 or 3 may end a run.
+DOCUMENTED = (ConfigError, ScenarioEventError, NumericBlowup)
+
+
+def test_sweep_makes_220_runs():
+    runs = [
+        value
+        for key, _ in SWEEP
+        for value in (AGENT_COUNTS if KEYS[key][0] == "n" else EXTREMES[KEYS[key][1]])
+    ]
+    assert len(runs) == 220
+
+
+@pytest.mark.parametrize("key, model", SWEEP)
+def test_extreme_values_end_in_a_run_or_a_documented_error(key, model):
+    values = AGENT_COUNTS if KEYS[key][0] == "n" else EXTREMES[KEYS[key][1]]
+    failures = []
+    for value in values:
+        try:
+            cfg = parse_config(SHORT[model] + f"{key} = {value}\n")
+        except ConfigError:
+            continue
+        # SwarmParams warns, as intended, when |ref.j| > ref.a.
+        warns = cfg.model == "reference_swarmalator" and abs(cfg.ref_j) > cfg.ref_a
+        try:
+            with pytest.warns(UserWarning, match="exceeds a=") if warns else (
+                contextlib.nullcontext()
+            ):
+                run_config(cfg, write=False)
+        except DOCUMENTED:
+            pass
+        except Exception as exc:  # every other exception is a finding
+            failures.append(f"{key} = {value}: {type(exc).__name__}: {exc}")
+    assert failures == []

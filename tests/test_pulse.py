@@ -19,6 +19,11 @@ class TestReceivePulse:
         assert receive_pulse(0.81, 0.2) == pytest.approx(1.21)
         assert receive_pulse(0.81, 0.2) >= 1.0
 
+    def test_response_too_large_for_a_float_absorbs(self):
+        # (sqrt(theta) + k) ** 2 overflows for k above about 1.3e154.
+        assert receive_pulse(0.5, 1e200) >= 1.0
+        assert receive_pulse(0.0, 1e308) >= 1.0
+
     def test_monotone_response(self):
         for k in (0.0, 0.01, 0.1, 0.5):
             for i in range(200):
