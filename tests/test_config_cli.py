@@ -453,6 +453,9 @@ class TestCli:
             # The last tick ends at 0.9 s, before the event.
             ("drone", "duration = 1.0\ndt = 0.3\nscenario.events = 0.95 spawn 0.3 0.3",
              ("event time 0.95", "never reached")),
+            # A run of no ticks applies no event.
+            ("drone", "duration = 0.004\nscenario.events = 0.0 spawn 0.3 0.3",
+             ("event time 0.0", "never reached")),
         ],
     )
     def test_config_the_run_cannot_follow_exits_2_naming_keys(
