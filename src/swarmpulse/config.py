@@ -262,7 +262,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad(f"ref.n must be >= 3 (the summary reports the rainbow correlation), got {cfg.n}")
     if cfg.events and cfg.model != "drone":
         bad(f"scenario.events apply to the drone model only, not to {cfg.model!r}")
-    # The engine's test: no event applies after its last tick ends (+1e-12).
+    # The engine applies events only after a tick, none later than the last one's end + 1e-12.
     end = round(ticks) * cfg.dt if math.isfinite(ticks) else math.inf
     for ev in cfg.events:
         if not 0.0 <= ev.time <= cfg.duration:
