@@ -1,4 +1,5 @@
-"""The config keys: each key's field and type, and README's key table."""
+"""Config keys: each key's field and type, README's key table, and how a
+run ends at each key's extreme values."""
 
 import contextlib
 import re
@@ -156,30 +157,29 @@ SWEEP = [
 DOCUMENTED = (ConfigError, ScenarioEventError, NumericBlowup)
 
 
+def extremes(key):
+    return AGENT_COUNTS if KEYS[key][0] == "n" else EXTREMES[KEYS[key][1]]
+
+
 def test_sweep_makes_220_runs():
-    runs = [
-        value
-        for key, _ in SWEEP
-        for value in (AGENT_COUNTS if KEYS[key][0] == "n" else EXTREMES[KEYS[key][1]])
-    ]
-    assert len(runs) == 220
+    assert sum(len(extremes(key)) for key, _ in SWEEP) == 220
 
 
 @pytest.mark.parametrize("key, model", SWEEP)
 def test_extreme_values_end_in_a_run_or_a_documented_error(key, model):
-    values = AGENT_COUNTS if KEYS[key][0] == "n" else EXTREMES[KEYS[key][1]]
     failures = []
-    for value in values:
+    for value in extremes(key):
         try:
             cfg = parse_config(SHORT[model] + f"{key} = {value}\n")
         except ConfigError:
             continue
         # SwarmParams warns, as intended, when |ref.j| > ref.a.
-        warns = cfg.model == "reference_swarmalator" and abs(cfg.ref_j) > cfg.ref_a
+        if cfg.model == "reference_swarmalator" and abs(cfg.ref_j) > cfg.ref_a:
+            expected = pytest.warns(UserWarning, match="exceeds a=")
+        else:
+            expected = contextlib.nullcontext()
         try:
-            with pytest.warns(UserWarning, match="exceeds a=") if warns else (
-                contextlib.nullcontext()
-            ):
+            with expected:
                 run_config(cfg, write=False)
         except DOCUMENTED:
             pass
