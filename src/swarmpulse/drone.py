@@ -42,7 +42,8 @@ paper's abstract does not fix the response function; this shape is
 used because it keeps the sign, the small-phase gain and the pulse-only
 payload of the sin law while letting every harmonic repel.
 
-No update ever depends on how many drones are in the swarm.
+No update ever depends on how many drones are in the swarm. The
+constants are the run's `drone.*` keys, read from its `ScenarioConfig`.
 
 State lives in arrays, not in per-drone objects. A `DroneArrays` holds
 one row per drone: position, held command, (theta, hidden) and
@@ -58,7 +59,7 @@ and writes the rows back once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -70,29 +71,8 @@ from .geometry import (
     wrap_angle,
 )
 
-
-@dataclass
-class DroneParams:
-    """Coupling and motion constants shared by every drone in a run."""
-
-    k_visible: float = 0.1
-    k_hidden: float = -0.1
-    j: float = 0.8
-    a: float = 1.0
-    b: float = 0.9
-    speed_cap: float = 0.3
-    freq_var: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.k_hidden > 0.0:
-            raise ValueError(
-                f"k_hidden must be <= 0 (broadcast staggering repels), "
-                f"got {self.k_hidden}"
-            )
-        if self.speed_cap <= 0.0:
-            raise ValueError(f"speed_cap must be > 0, got {self.speed_cap}")
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError(f"a and b must be > 0, got a={self.a}, b={self.b}")
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 
 class DroneArrays:
@@ -132,7 +112,7 @@ def on_pulse_received(
     ids: list[int],
     filters: list,
     msg,
-    params: DroneParams,
+    cfg: ScenarioConfig,
     rng: np.random.Generator | None = None,
 ) -> None:
     """Apply one received pulse to every row of `state` but its sender's,
@@ -169,8 +149,8 @@ def on_pulse_received(
     values = state.values.tolist()
     m = len(values) // 3
     pos, command, phases = values[:m], values[m:2 * m], values[2 * m:]
-    k_visible, k_hidden, cap = params.k_visible, params.k_hidden, params.speed_cap
-    a, j, b = params.a, params.j, params.b
+    k_visible, k_hidden, cap = cfg.drone_k_visible, cfg.drone_k_hidden, cfg.drone_speed_cap
+    a, j, b = cfg.drone_a, cfg.drone_j, cfg.drone_b
     ref = 0.0 if msg.hidden is None else msg.hidden
     sender, theta_j, (sx, sy) = msg.sender, msg.theta, msg.pos
     sin, cos, hypot = math.sin, math.cos, math.hypot

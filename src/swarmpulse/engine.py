@@ -1,7 +1,9 @@
 """Tick loop for the drone swarm.
 
 One engine owns one timeline: the drones, the broadcast medium, the
-scenario RNG, and the timed spawn/despawn events. Each tick covers
+scenario RNG, and the timed spawn/despawn events. It is built from the
+run's `ScenarioConfig` alone, with no drone yet, and makes its own
+medium, RNG, event list and smoothing filters from it. Each tick covers
 [t, t + dt] and always runs in the same order:
 
 1. every living drone's clocks advance; hidden-phase wraps enqueue
@@ -72,16 +74,19 @@ is the one farthest out.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import drone as drone_mod
-from .drone import DroneArrays, DroneParams
-from .geometry import SQUARES_LIMIT, TAU, NumericBlowup
+from .drone import DroneArrays
+from .geometry import SQUARES_LIMIT, TAU, NumericBlowup, seeded_rng
 from .medium import BroadcastMedium, PulseMessage
-from .smoothing import IdentityFilter
+from .smoothing import make_filter
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 # Floats in one glide's buffer (256 KiB); a longer quiet stretch takes
 # several glides.
@@ -134,27 +139,18 @@ def _first_bad_row(state: DroneArrays) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-@dataclass
 class DroneSwarmEngine:
-    params: DroneParams
-    medium: BroadcastMedium
-    rng: np.random.Generator
-    dt: float = 0.005
-    base_omega: float = 2.0 * math.pi
-    hidden_in_payload: bool = False
-    filter_factory: object = IdentityFilter
-    events: list[ScenarioEvent] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+    def __init__(self, cfg: ScenarioConfig) -> None:
+        self.cfg, self.dt = cfg, cfg.dt
+        self.medium = BroadcastMedium(cfg.medium_airtime, cfg.medium_collision_policy)
+        self.rng = seeded_rng(cfg.seed)
+        self.events = sorted(cfg.events, key=lambda e: e.time)
         self.state = DroneArrays([], [], [], [])
         self.ids: list[int] = []
         self.filters: list = []
         self._spawned = 0
         self.tick = 0
         self.fire_log: list[tuple[float, int]] = []
-        self.events = sorted(self.events, key=lambda e: e.time)
         self._next_event = 0
         # Kept samples (see `_keep`).
         self._ticks, self._collisions = [], []
@@ -168,13 +164,14 @@ class DroneSwarmEngine:
 
     def add_drone(self, pos) -> int:
         """Spawn a drone at `pos` under the next id, at rest, with random
-        phases and, when `params.freq_var` is set, random rates, and
+        phases and, when `drone.freq_var` is set, random rates, and
         return its id.
 
         The scenario RNG draws theta, hidden, omega and hidden_omega, in
         that fixed order, so spawns are reproducible.
         """
-        rng, base, var = self.rng, self.base_omega, self.params.freq_var
+        cfg, rng = self.cfg, self.rng
+        base, var = cfg.drone_omega, cfg.drone_freq_var
         phases = rng.uniform(0.0, TAU), rng.uniform(0.0, TAU)
         if var > 0.0:
             rates = rng.uniform(base - var, base + var), rng.uniform(base - var, base + var)
@@ -186,7 +183,8 @@ class DroneSwarmEngine:
             np.vstack([getattr(self.state, f), x]) for f, x in zip(DroneArrays.FIELDS, row)
         ))
         self.ids = [*self.ids, drone_id]
-        self.filters = [*self.filters, self.filter_factory()]
+        smoother = make_filter(cfg.smoothing_mode, cfg.smoothing_window, cfg.smoothing_alpha)
+        self.filters = [*self.filters, smoother]
         return drone_id
 
     def despawn(self, drone_id: int) -> None:
@@ -245,6 +243,7 @@ class DroneSwarmEngine:
         t0 = self.t
         t1 = (self.tick + 1) * self.dt
         state = self.state
+        payload = self.cfg.drone_hidden_in_payload
 
         try:
             for row, offset, theta in drone_mod.advance_clock(state, self.dt):
@@ -257,14 +256,12 @@ class DroneSwarmEngine:
                         pos=tuple(state.pos[row].tolist()),
                         theta=theta,
                         sent_at=sent_at,
-                        hidden=state.phases.item(row, 1) if self.hidden_in_payload else None,
+                        hidden=state.phases.item(row, 1) if payload else None,
                     )
                 )
 
             for msg in self.medium.poll_deliveries(t1):
-                drone_mod.on_pulse_received(
-                    state, self.ids, self.filters, msg, self.params, self.rng
-                )
+                drone_mod.on_pulse_received(state, self.ids, self.filters, msg, self.cfg, self.rng)
         except ValueError as exc:
             # `wrap_angle` refuses a non-finite phase before either kernel
             # writes its rows back, so the rows still show which drone.

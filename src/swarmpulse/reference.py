@@ -28,6 +28,8 @@ closer than EPSILON_DIST get a random pair direction, drawn once per
 coincident pair each step. `run_reference` records, with each state,
 the velocity it then integrates from that state. `velocities`,
 `step_positions` and `step_phases` are thin wrappers over the kernel.
+Every constant comes from the run's `ScenarioConfig`: `n`, `duration`,
+`dt` and the `ref.*` keys.
 """
 
 from __future__ import annotations
@@ -35,44 +37,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import EPSILON_DIST, SQUARES_LIMIT, TAU, NumericBlowup, random_unit
 
-
-@dataclass
-class SwarmParams:
-    """Population-level coupling constants.
-
-    k may be negative (desynchronising); a and b must be positive.
-    freq_var is the half-width of the uniform spread applied to each
-    agent's natural frequency.
-    """
-
-    n: int
-    k: float
-    j: float
-    a: float = 1.0
-    b: float = 3.0
-    freq_var: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"population needs n >= 2, got {self.n}")
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError(f"a and b must be > 0, got a={self.a}, b={self.b}")
-        if self.freq_var < 0.0:
-            raise ValueError(f"freq_var must be >= 0, got {self.freq_var}")
-        if abs(self.j) > self.a:
-            warnings.warn(
-                f"|j|={abs(self.j)} exceeds a={self.a}; pairwise attraction "
-                "can reverse sign for antipodal phases",
-                stacklevel=2,
-            )
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 
-def _kernel(params: SwarmParams, omega: np.ndarray, rng: np.random.Generator | None,
+def _kernel(cfg: ScenarioConfig, omega: np.ndarray, rng: np.random.Generator | None,
             state: np.ndarray):
     """The rates function of one run: it fills its (3, N) rates from
     `state` and returns them. Its argument says every coordinate is below
@@ -85,7 +60,7 @@ def _kernel(params: SwarmParams, omega: np.ndarray, rng: np.random.Generator | N
     work_t = work.transpose(0, 2, 1)
     dist_diagonal, coeff_diagonal = (a.reshape(-1)[:: n + 1] for a in (dist, coeff))
     vel, dtheta = rates[:2], rates[2]
-    a, j, b, k_n = params.a, params.j, params.b, params.k / n
+    a, j, b, k_n = cfg.ref_a, cfg.ref_j, cfg.ref_b, cfg.ref_k / n
 
     def step_rates(bounded: bool) -> np.ndarray:
         np.subtract(state[:, None, :], state[:, :, None], out=diffs)
@@ -129,17 +104,17 @@ def _kernel(params: SwarmParams, omega: np.ndarray, rng: np.random.Generator | N
 def velocities(
     pos: np.ndarray,
     theta: np.ndarray,
-    params: SwarmParams,
+    cfg: ScenarioConfig,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Per-agent velocity field of the spatial dynamics."""
-    return _kernel(params, np.zeros(len(pos)), rng, np.array((*pos.T, theta)))(False)[:2].T
+    return _kernel(cfg, np.zeros(len(pos)), rng, np.array((*pos.T, theta)))(False)[:2].T
 
 
 def step_positions(
     pos: np.ndarray,
     theta: np.ndarray,
-    params: SwarmParams,
+    cfg: ScenarioConfig,
     dt: float,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +123,7 @@ def step_positions(
     Returns (new_positions, velocities); velocities are the pre-step
     values actually integrated.
     """
-    vel = velocities(pos, theta, params, rng)
+    vel = velocities(pos, theta, cfg, rng)
     return pos + vel * dt, vel
 
 
@@ -156,13 +131,13 @@ def step_phases(
     pos: np.ndarray,
     theta: np.ndarray,
     omega: np.ndarray,
-    params: SwarmParams,
+    cfg: ScenarioConfig,
     dt: float,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """One Euler step of the phase dynamics; result wrapped to [0, 2*pi)."""
     state = np.array((*pos.T, theta))
-    new = state[2] + _kernel(params, omega, rng, state)(False)[2] * dt
+    new = state[2] + _kernel(cfg, omega, rng, state)(False)[2] * dt
     if not np.isfinite(new).all():
         raise ValueError("non-finite angle in array")
     return _wrap(new)
@@ -180,7 +155,7 @@ def assign_frequencies(
 
 
 def init_state(
-    params: SwarmParams, rng: np.random.Generator, base_omega: float = 0.0
+    cfg: ScenarioConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Disordered start: positions uniform in a side-2 square centred at
     the origin, phases uniform on the circle.
@@ -188,9 +163,9 @@ def init_state(
     Draw order is fixed (positions, phases, frequencies) so a seed pins
     the whole initial condition.
     """
-    pos = rng.uniform(-1.0, 1.0, size=(params.n, 2))
-    theta = rng.uniform(0.0, TAU, size=params.n)
-    omega = assign_frequencies(params.n, base_omega, params.freq_var, rng)
+    pos = rng.uniform(-1.0, 1.0, size=(cfg.n, 2))
+    theta = rng.uniform(0.0, TAU, size=cfg.n)
+    omega = assign_frequencies(cfg.n, cfg.ref_omega, cfg.ref_freq_var, rng)
     return pos, theta, omega
 
 
@@ -228,15 +203,13 @@ class ReferenceTrace:
 
 
 def run_reference(
-    params: SwarmParams,
-    duration: float,
-    dt: float,
+    cfg: ScenarioConfig,
     rng: np.random.Generator,
-    base_omega: float = 0.0,
     trace_every: int = 1,
     state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> ReferenceTrace:
-    """Simulate the population and return its decimated trajectory.
+    """Simulate the population for `cfg.duration` in steps of `cfg.dt`
+    and return its decimated trajectory.
 
     `state` overrides the random initial condition (positions, thetas,
     omegas); `trace_every` keeps every k-th step plus the final one.
@@ -244,20 +217,25 @@ def run_reference(
     Raises NumericBlowup naming the step and the first agent whose
     position, phase, pair distances or rates stop being finite.
     """
-    if dt <= 0.0 or duration <= 0.0:
-        raise ValueError("duration and dt must be > 0")
+    if abs(cfg.ref_j) > cfg.ref_a:
+        warnings.warn(
+            f"|j|={abs(cfg.ref_j)} exceeds a={cfg.ref_a}; pairwise attraction "
+            "can reverse sign for antipodal phases",
+            stacklevel=2,
+        )
     if state is None:
-        pos, theta, omega = init_state(params, rng, base_omega)
+        pos, theta, omega = init_state(cfg, rng)
     else:
         pos, theta, omega = (np.array(s, dtype=np.float64) for s in state)
 
-    steps = int(round(duration / dt))
+    dt = cfg.dt
+    steps = int(round(cfg.duration / dt))
     n = len(theta)
     samples = steps // trace_every + 1 + (steps % trace_every != 0)
     times, thetas = np.empty(samples), np.empty((samples, n))
     positions, vels = np.empty((samples, n, 2)), np.empty((samples, n, 2))
     x = np.array((*pos.T, theta))
-    step_rates, move, flat_x = _kernel(params, omega, rng, x), np.empty((3, n)), x.reshape(-1)
+    step_rates, move, flat_x = _kernel(cfg, omega, rng, x), np.empty((3, n)), x.reshape(-1)
     theta = x[2]
     sample = 0
     # Each step's checks report a non-finite or overflowing state as

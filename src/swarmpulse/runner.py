@@ -2,7 +2,8 @@
 
 One call builds the configured model, simulates it on a single
 timeline, and collects the three trace tables plus a summary dict. The
-same config and seed always produce byte-identical trace files.
+same config and seed always produce byte-identical trace files. Each
+model reads its constants from the config itself.
 
 All three models end in one function, `_result`, which takes a run's
 trace columns (the sample times and agent counts, flat ids, phases and
@@ -34,13 +35,10 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .config import ScenarioConfig, formation_positions
-from .drone import DroneParams
 from .engine import DroneSwarmEngine
 from .geometry import TAU, seeded_rng
-from .medium import BroadcastMedium
 from .pulse import PulsePopulation
-from .reference import SwarmParams, run_reference
-from .smoothing import make_filter
+from .reference import run_reference
 from .traces import (
     METRICS_HEADER,
     PHASE_HEADER,
@@ -184,10 +182,7 @@ def _run_pulse(cfg: ScenarioConfig, name: str) -> RunResult:
 
 
 def _run_reference(cfg: ScenarioConfig, name: str) -> RunResult:
-    params = SwarmParams(n=cfg.n, k=cfg.ref_k, j=cfg.ref_j, a=cfg.ref_a, b=cfg.ref_b,
-                         freq_var=cfg.ref_freq_var)
-    trace = run_reference(params, cfg.duration, cfg.dt, seeded_rng(cfg.seed),
-                          base_omega=cfg.ref_omega, trace_every=_sample_every(cfg))
+    trace = run_reference(cfg, seeded_rng(cfg.seed), trace_every=_sample_every(cfg))
     samples, n = trace.thetas.shape
     return _result(
         cfg, name, trace.times, np.full(samples, n), np.tile(np.arange(n), samples),
@@ -206,31 +201,8 @@ def _run_reference(cfg: ScenarioConfig, name: str) -> RunResult:
 
 
 def build_drone_engine(cfg: ScenarioConfig) -> DroneSwarmEngine:
-    """Engine exactly as the bundled scenarios construct it."""
-    params = DroneParams(
-        k_visible=cfg.drone_k_visible,
-        k_hidden=cfg.drone_k_hidden,
-        j=cfg.drone_j,
-        a=cfg.drone_a,
-        b=cfg.drone_b,
-        speed_cap=cfg.drone_speed_cap,
-        freq_var=cfg.drone_freq_var,
-    )
-    medium = BroadcastMedium(
-        airtime=cfg.medium_airtime, collision_policy=cfg.medium_collision_policy
-    )
-    engine = DroneSwarmEngine(
-        params=params,
-        medium=medium,
-        rng=seeded_rng(cfg.seed),
-        dt=cfg.dt,
-        base_omega=cfg.drone_omega,
-        hidden_in_payload=cfg.drone_hidden_in_payload,
-        filter_factory=lambda: make_filter(
-            cfg.smoothing_mode, cfg.smoothing_window, cfg.smoothing_alpha
-        ),
-        events=cfg.events,
-    )
+    """The run's engine with its formation's drones."""
+    engine = DroneSwarmEngine(cfg)
     for pos in formation_positions(cfg):
         engine.add_drone(pos)
     return engine

@@ -32,11 +32,10 @@ import numpy as np
 import pytest
 
 from swarmpulse import metrics
-from swarmpulse.config import parse_config
-from swarmpulse.drone import DroneParams
+from swarmpulse.config import ScenarioConfig, parse_config
 from swarmpulse.geometry import TAU, seeded_rng, vec
 from swarmpulse.pulse import PulsePopulation
-from swarmpulse.reference import SwarmParams, step_phases, step_positions
+from swarmpulse.reference import step_phases, step_positions
 from swarmpulse.runner import build_drone_engine, run_config
 from swarmpulse.scenarios import SCENARIO_NAMES, scenario_text
 from swarmpulse.smoothing import ExponentialFilter, MovingAverageFilter
@@ -351,15 +350,15 @@ def test_c09_join_robustness(join_run):
 
 def test_c10_equilibrium_cross_check():
     # reference model at its analytic rest separation
-    params = SwarmParams(n=2, k=0.7, j=0.8, a=1.0, b=3.0)
-    d_star = params.b / (params.a + params.j)
+    ref = ScenarioConfig(n=2, ref_k=0.7, ref_j=0.8, ref_a=1.0, ref_b=3.0)
+    d_star = ref.ref_b / (ref.ref_a + ref.ref_j)
     pos = np.array([[0.0, 0.0], [d_star, 0.0]])
     start = pos.copy()
     theta = np.array([0.8, 0.8])
     omega = np.zeros(2)
     for _ in range(1000):
-        new_pos, _ = step_positions(pos, theta, params, 0.01)
-        theta = step_phases(pos, theta, omega, params, 0.01)
+        new_pos, _ = step_positions(pos, theta, ref, 0.01)
+        theta = step_phases(pos, theta, omega, ref, 0.01)
         pos = new_pos
     ref_drift = float(np.max(np.abs(pos - start)))
 

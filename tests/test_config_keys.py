@@ -173,7 +173,7 @@ def test_extreme_values_end_in_a_run_or_a_documented_error(key, model):
             cfg = parse_config(SHORT[model] + f"{key} = {value}\n")
         except ConfigError:
             continue
-        # SwarmParams warns, as intended, when |ref.j| > ref.a.
+        # `run_reference` warns, as intended, when |ref.j| > ref.a.
         if cfg.model == "reference_swarmalator" and abs(cfg.ref_j) > cfg.ref_a:
             expected = pytest.warns(UserWarning, match="exceeds a=")
         else:

@@ -11,24 +11,29 @@ from hypothesis import strategies as st
 
 from swarmpulse import engine as engine_mod
 from swarmpulse import metrics
-from swarmpulse.config import parse_config
-from swarmpulse.drone import (
-    DroneArrays,
-    DroneParams,
-    advance_clock,
-    apply_motion,
-    on_pulse_received,
-)
+from swarmpulse.config import ScenarioConfig, parse_config
+from swarmpulse.drone import DroneArrays, advance_clock, apply_motion, on_pulse_received
 from swarmpulse.engine import DroneSwarmEngine, NumericBlowup, ScenarioEvent
 from swarmpulse.geometry import TAU, seeded_rng, vec
-from swarmpulse.medium import BroadcastMedium, PulseMessage
+from swarmpulse.medium import PulseMessage
 from swarmpulse.runner import build_drone_engine
 from swarmpulse.scenarios import scenario_text
 from swarmpulse.smoothing import IdentityFilter, make_filter
 
 from helpers import DroneView, circ_diff, drones, hearers
 
-TABLE_PARAMS = DroneParams(k_visible=0.1, k_hidden=-0.1, j=0.8, a=1.0, b=3.0)
+
+
+def drone_cfg(**fields):
+    """A config with the drone constants these tests were written for:
+    `drone.j`, `drone.a` and `drone.b` of 0.8, 1.0 and 0.9 (ten times the
+    bundled scenarios'), and no smoothing."""
+    return ScenarioConfig(**{
+        "drone_j": 0.8, "drone_a": 1.0, "drone_b": 0.9, "smoothing_mode": "none", **fields
+    })
+
+
+TABLE = drone_cfg(drone_b=3.0)
 
 
 def drone(drone_id=0, pos=(0.0, 0.0), theta=0.0, hidden=0.0, omega=TAU, hidden_omega=TAU,
@@ -39,31 +44,22 @@ def drone(drone_id=0, pos=(0.0, 0.0), theta=0.0, hidden=0.0, omega=TAU, hidden_o
     return DroneView(swarm, drone_id)
 
 
-def hear(me, msg, params):
+def hear(me, msg, cfg):
     """`me`'s swarm hears `msg`."""
-    on_pulse_received(me.state, me.swarm.ids, me.swarm.filters, msg, params)
+    on_pulse_received(me.state, me.swarm.ids, me.swarm.filters, msg, cfg)
 
 
 def pulse_from(sender, pos, theta, sent_at=0.0, hidden=None):
     return PulseMessage(sender=sender, pos=vec(*pos), theta=theta, sent_at=sent_at, hidden=hidden)
 
 
-def build_engine(seed=0, n=5, positions=None, params=None, events=(), dt=0.005,
-                 mode="none", window=10, alpha=0.8, base_omega=TAU,
-                 airtime=0.005, hidden_in_payload=False):
-    eng = DroneSwarmEngine(
-        params=params or DroneParams(),
-        medium=BroadcastMedium(airtime=airtime),
-        rng=seeded_rng(seed),
-        dt=dt,
-        base_omega=base_omega,
-        hidden_in_payload=hidden_in_payload,
-        filter_factory=lambda: make_filter(mode, window, alpha),
-        events=list(events),
-    )
+def build_engine(seed=0, n=5, positions=None, events=(), **fields):
+    """The engine of `drone_cfg(**fields)` with `n` drones at random, or
+    with one drone at each of `positions`."""
+    cfg = drone_cfg(seed=seed, n=n, events=list(events), **fields)
     if positions is None:
-        rr = seeded_rng(seed + 1000)
-        positions = [rr.uniform(-1, 1, 2) for _ in range(n)]
+        return build_drone_engine(cfg)
+    eng = DroneSwarmEngine(cfg)
     for p in positions:
         eng.add_drone(p)
     return eng
@@ -72,19 +68,19 @@ def build_engine(seed=0, n=5, positions=None, params=None, events=(), dt=0.005,
 class TestPulseResponse:
     def test_equal_phases_no_visible_change(self):
         me = drone(theta=1.3)
-        hear(me, pulse_from(1, (1.0, 0.0), 1.3), TABLE_PARAMS)
+        hear(me, pulse_from(1, (1.0, 0.0), 1.3), TABLE)
         assert me.theta == 1.3
 
     def test_hand_evaluated_visible_kick(self):
         me = drone(theta=0.0)
-        params = DroneParams(k_visible=0.1, k_hidden=0.0, j=0.8, a=1.0, b=3.0)
-        hear(me, pulse_from(1, (1.0, 0.0), math.pi / 2), params)
+        cfg = drone_cfg(drone_k_hidden=0.0, drone_b=3.0)
+        hear(me, pulse_from(1, (1.0, 0.0), math.pi / 2), cfg)
         assert me.theta == pytest.approx(0.1)
 
     def test_equilibrium_distance_zero_command(self):
-        d_star = TABLE_PARAMS.b / (TABLE_PARAMS.a + TABLE_PARAMS.j)
+        d_star = TABLE.drone_b / (TABLE.drone_a + TABLE.drone_j)
         me = drone(theta=0.8)
-        hear(me, pulse_from(1, (d_star, 0.0), 0.8), TABLE_PARAMS)
+        hear(me, pulse_from(1, (d_star, 0.0), 0.8), TABLE)
         assert np.linalg.norm(me.command) < 1e-12
 
     def test_own_pulse_not_heard(self):
@@ -96,7 +92,7 @@ class TestPulseResponse:
         rng = seeded_rng(4)
         before = {f: getattr(state, f).copy() for f in DroneArrays.FIELDS}
         rng_before = rng.bit_generator.state
-        on_pulse_received(state, ids, filters, pulse_from(3, (0.0, 0.0), 1.0), TABLE_PARAMS, rng)
+        on_pulse_received(state, ids, filters, pulse_from(3, (0.0, 0.0), 1.0), TABLE, rng)
         for f in DroneArrays.FIELDS:
             assert getattr(state, f)[1].tobytes() == before[f][1].tobytes()
         assert not filters[1]._buf
@@ -107,10 +103,11 @@ class TestPulseResponse:
 
     def test_command_pushed_through_filter(self):
         me = drone(smoother=make_filter("moving_average", 2))
-        params = DroneParams(k_visible=0.0, k_hidden=0.0, j=0.0, a=1.0, b=0.5, speed_cap=10.0)
-        hear(me, pulse_from(1, (1.0, 0.0), 0.0), params)
+        cfg = drone_cfg(drone_k_visible=0.0, drone_k_hidden=0.0, drone_j=0.0, drone_b=0.5,
+                           drone_speed_cap=10.0)
+        hear(me, pulse_from(1, (1.0, 0.0), 0.0), cfg)
         first = me.command.copy()
-        hear(me, pulse_from(1, (2.0, 0.0), 0.0), params)
+        hear(me, pulse_from(1, (2.0, 0.0), 0.0), cfg)
         # Raw commands at distance d: (a - b / d, 0), so (0.5, 0) and (0.75, 0).
         raw1, raw2 = vec(0.5, 0.0), vec(0.75, 0.0)
         assert np.allclose(first, raw1)
@@ -118,34 +115,35 @@ class TestPulseResponse:
 
     def test_speed_cap_applied_after_smoothing(self):
         me = drone()
-        params = DroneParams(k_visible=0.0, k_hidden=0.0, j=0.0, a=5.0, b=0.001, speed_cap=0.3)
-        hear(me, pulse_from(1, (1.0, 0.0), 0.0), params)
+        cfg = drone_cfg(drone_k_visible=0.0, drone_k_hidden=0.0, drone_j=0.0, drone_a=5.0,
+                           drone_b=0.001)
+        hear(me, pulse_from(1, (1.0, 0.0), 0.0), cfg)
         assert np.linalg.norm(me.command) == pytest.approx(0.3)
 
     def test_hidden_kick_repels_from_fire_instant(self):
-        params = DroneParams(k_visible=0.0, k_hidden=-0.1)
+        cfg = drone_cfg(drone_k_visible=0.0)
         me = drone(hidden=0.3)
-        hear(me, pulse_from(1, (1.0, 0.0), 0.0), params)
+        hear(me, pulse_from(1, (1.0, 0.0), 0.0), cfg)
         # pushed away from the sender's wrap point (0) toward antiphase:
         # psi = 0.3, kick 0.1 * sin(0.3) / (2 - cos(0.3)) = 0.0282886
         assert me.hidden == pytest.approx(0.3 + 0.1 * math.sin(0.3) / (2.0 - math.cos(0.3)))
         assert me.hidden == pytest.approx(0.328289, abs=1e-6)
 
     def test_hidden_payload_used_when_present(self):
-        params = DroneParams(k_visible=0.0, k_hidden=-0.1)
+        cfg = drone_cfg(drone_k_visible=0.0)
         me = drone(hidden=0.3)
-        hear(me, pulse_from(1, (1.0, 0.0), 0.0, hidden=1.0), params)
+        hear(me, pulse_from(1, (1.0, 0.0), 0.0, hidden=1.0), cfg)
         # psi = 0.3 - 1.0 = -0.7: pushed below the payload reference 1.0,
         # not away from 0; kick 0.1 * sin(0.7) / (2 - cos(0.7)) = 0.0521567
         assert me.hidden == pytest.approx(0.3 - 0.1 * math.sin(0.7) / (2.0 - math.cos(0.7)))
         assert me.hidden == pytest.approx(0.247843, abs=1e-6)
 
     def test_pairwise_update_ignores_swarm_size(self):
-        # The update is a pure function of (state, message, params).
+        # The update is a pure function of (state, message, config).
         results = []
         for _ in range(3):
             me = drone(theta=0.4, hidden=2.0, pos=(0.2, -0.1))
-            hear(me, pulse_from(9, (1.0, 0.7), 2.2), TABLE_PARAMS)
+            hear(me, pulse_from(9, (1.0, 0.7), 2.2), TABLE)
             results.append((me.theta, me.hidden, me.command.copy()))
         for theta, hidden, cmd in results[1:]:
             assert theta == results[0][0]
@@ -184,7 +182,8 @@ class TestClock:
         eng = build_engine(
             n=2,
             positions=[(-0.5, 0.0), (0.5, 0.0)],
-            params=DroneParams(k_visible=0.0, k_hidden=0.0),
+            drone_k_visible=0.0,
+            drone_k_hidden=0.0,
         )
         for d, hidden in zip(drones(eng), (0.0, math.pi)):
             d.hidden = hidden
@@ -285,15 +284,15 @@ class TestEngineInvariants:
         assert eng.ids == ([0, 1, 2, 3] if change == "spawn" else [0, 2])
 
     def test_uncoupled_spawned_drone_keeps_offset(self):
-        eng = build_engine(n=3, params=DroneParams(k_visible=0.0, k_hidden=-0.1))
+        eng = build_engine(n=3, drone_k_visible=0.0)
         r0 = metrics.order_parameter([d.theta for d in drones(eng)])
         eng.run(10.0)
         r1 = metrics.order_parameter([d.theta for d in drones(eng)])
         assert r1 == pytest.approx(r0, abs=1e-9)
 
     def test_zero_visible_coupling_leaves_fire_times_unchanged(self):
-        base = build_engine(seed=5, params=DroneParams(k_visible=0.1, k_hidden=-0.1))
-        ctrl = build_engine(seed=5, params=DroneParams(k_visible=0.0, k_hidden=-0.1))
+        base = build_engine(seed=5)
+        ctrl = build_engine(seed=5, drone_k_visible=0.0)
         base.run(10.0)
         ctrl.run(10.0)
         assert base.fire_log == ctrl.fire_log
@@ -307,12 +306,12 @@ class TestEngineInvariants:
         ]
         thetas = []
         for k_hidden in (0.0, -0.1):
-            params = DroneParams(k_visible=0.1, k_hidden=k_hidden, j=0.8, a=1.0, b=3.0)
+            cfg = drone_cfg(drone_k_hidden=k_hidden, drone_b=3.0)
             me = drone(theta=0.9, hidden=2.5)
             out = []
             for msg in schedule:
                 advance_clock(me.state, 0.05)
-                hear(me, msg, params)
+                hear(me, msg, cfg)
                 out.append(me.theta)
             thetas.append(out)
         assert thetas[0] == thetas[1]
@@ -332,16 +331,9 @@ class TestEngineInvariants:
     def test_mirror_symmetric_pair_stays_mirrored(self):
         # Simultaneous broadcasts (deliver_all ablation) keep a mirror
         # configuration exactly mirrored: commands negate pairwise.
-        eng = DroneSwarmEngine(
-            params=DroneParams(k_visible=0.1, k_hidden=-0.1),
-            medium=BroadcastMedium(airtime=0.005, collision_policy="deliver_all"),
-            rng=seeded_rng(0),
-            dt=0.005,
-            base_omega=TAU,
-            filter_factory=lambda: make_filter("moving_average", 10, 0.8),
-        )
-        eng.add_drone((-0.4, 0.0))
-        eng.add_drone((0.4, 0.0))
+        eng = build_engine(n=2, positions=[(-0.4, 0.0), (0.4, 0.0)],
+                           medium_collision_policy="deliver_all",
+                           smoothing_mode="moving_average")
         d0, d1 = drones(eng)
         d0.theta = d1.theta = 0.5
         d0.hidden = d1.hidden = 2.0
@@ -350,16 +342,16 @@ class TestEngineInvariants:
         assert d0.theta == d1.theta
 
     def test_positive_coupling_shrinks_gap_every_pulse(self):
-        params = DroneParams(k_visible=0.1, k_hidden=0.0)
+        cfg = drone_cfg(drone_k_hidden=0.0)
         for gap in (0.3, 1.0, 2.0, 3.0):
             a = drone(drone_id=0, theta=0.0)
             b = drone(drone_id=1, theta=gap)
             g = gap
             for _ in range(40):
-                hear(a, pulse_from(1, (1.0, 0.0), b.theta), params)
+                hear(a, pulse_from(1, (1.0, 0.0), b.theta), cfg)
                 g_new = abs(circ_diff(b.theta, a.theta))
                 assert g_new < g
-                hear(b, pulse_from(0, (-1.0, 0.0), a.theta), params)
+                hear(b, pulse_from(0, (-1.0, 0.0), a.theta), cfg)
                 g2 = abs(circ_diff(b.theta, a.theta))
                 assert g2 < g_new
                 g = g2
@@ -385,7 +377,7 @@ class TestPayloadPrivacy:
         assert all(m.hidden is None for m in sent)
 
     def test_payload_ablation_carries_hidden(self):
-        eng = build_engine(seed=8, n=3, hidden_in_payload=True)
+        eng = build_engine(seed=8, n=3, drone_hidden_in_payload=True)
         sent = self._collect_messages(eng)
         eng.run(3.0)
         assert sent
@@ -394,8 +386,7 @@ class TestPayloadPrivacy:
 
 class TestFrequencyVariation:
     def test_frequencies_drawn_within_bounds(self):
-        params = DroneParams(k_visible=0.1, k_hidden=-0.1, freq_var=0.5)
-        eng = build_engine(seed=9, n=20, params=params, base_omega=TAU)
+        eng = build_engine(seed=9, n=20, drone_freq_var=0.5)
         omegas = [d.omega for d in drones(eng)]
         hidden_omegas = [d.hidden_omega for d in drones(eng)]
         for w in omegas + hidden_omegas:
@@ -420,8 +411,8 @@ class TestEvents:
     def test_despawn_nearest_centroid(self):
         events = [ScenarioEvent(time=1.0, kind="despawn", target="nearest_centroid")]
         positions = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.05, 0.0)]
-        eng = build_engine(n=5, positions=positions,
-                           params=DroneParams(k_visible=0.0, k_hidden=0.0), events=events)
+        eng = build_engine(n=5, positions=positions, events=events, drone_k_visible=0.0,
+                           drone_k_hidden=0.0)
         eng.run(1.5)
         assert eng.ids == [0, 1, 2, 3]
 
@@ -453,7 +444,7 @@ class TestRoster:
     def engine_with_pulse_in_flight(self, n):
         # Drone 0 fires at t = 0.011 and its pulse lands at 0.061; the
         # others' hidden phases start at 0, so they fire only at t = 1.
-        eng = build_engine(n=0, airtime=0.05)
+        eng = build_engine(n=0, medium_airtime=0.05)
         for i in range(n):
             DroneView(eng, eng.add_drone(vec(float(i), 0.0))).hidden = (
                 TAU * (1.0 - 0.011) if i == 0 else 0.0
@@ -480,7 +471,7 @@ class TestHandleWrites:
     effect."""
 
     def test_zero_omega_freezes_theta_mid_run(self):
-        eng = build_engine(seed=7, n=4, params=DroneParams(k_visible=0.0, k_hidden=-0.1))
+        eng = build_engine(seed=7, n=4, drone_k_visible=0.0)
         eng.run(1.0)
         DroneView(eng, 2).omega = 0.0
         before = {d.id: d.theta for d in drones(eng)}
@@ -592,8 +583,8 @@ class TestOverflow:
 
 class TestDeterminism:
     def test_identical_seeds_identical_runs(self):
-        a = build_engine(seed=11, mode="moving_average")
-        b = build_engine(seed=11, mode="moving_average")
+        a = build_engine(seed=11, smoothing_mode="moving_average")
+        b = build_engine(seed=11, smoothing_mode="moving_average")
         a.run(8.0)
         b.run(8.0)
         assert a.fire_log == b.fire_log
@@ -644,17 +635,12 @@ def glide_setups(draw):
 
 
 def glide_engine(setup):
-    eng = DroneSwarmEngine(
-        params=DroneParams(freq_var=setup["freq_var"]),
-        medium=BroadcastMedium(airtime=setup["airtime"], collision_policy=setup["policy"]),
-        rng=seeded_rng(setup["seed"]),
-        base_omega=setup["base_omega"],
-        filter_factory=lambda: make_filter(setup["mode"], 3, 0.8),
-        events=list(setup["events"]),
+    return build_engine(
+        setup["seed"], positions=setup["positions"], events=setup["events"],
+        drone_freq_var=setup["freq_var"], drone_omega=setup["base_omega"],
+        medium_airtime=setup["airtime"], medium_collision_policy=setup["policy"],
+        smoothing_mode=setup["mode"], smoothing_window=3,
     )
-    for p in setup["positions"]:
-        eng.add_drone(p)
-    return eng
 
 
 def kept_samples(eng):

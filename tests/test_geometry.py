@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from swarmpulse.config import ScenarioConfig
 from swarmpulse.geometry import (
     TAU,
     random_unit,
@@ -14,7 +15,7 @@ from swarmpulse.geometry import (
     wrap_angle,
     wrap_unit_phase,
 )
-from swarmpulse.reference import SwarmParams, step_phases
+from swarmpulse.reference import step_phases
 
 from helpers import circ_diff
 
@@ -55,8 +56,8 @@ class TestWrapAngle:
         # and no natural frequency a step only wraps them.
         xs = np.array([-7.0, -1e-17, 0.0, 1.0, TAU, 10.0])
         pos = np.column_stack([np.arange(6.0), np.zeros(6)])
-        params = SwarmParams(n=6, k=0.0, j=0.0)
-        out = step_phases(pos, xs, np.zeros(6), params, 0.01)
+        cfg = ScenarioConfig(n=6, ref_k=0.0, ref_j=0.0)
+        out = step_phases(pos, xs, np.zeros(6), cfg, 0.01)
         assert np.all(out >= 0.0) and np.all(out < TAU)
         for x, w in zip(xs, out):
             assert w == wrap_angle(float(x))

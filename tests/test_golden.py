@@ -37,7 +37,7 @@ from swarmpulse import drone
 from swarmpulse.config import parse_config
 from swarmpulse.engine import DroneSwarmEngine
 from swarmpulse.geometry import TAU, seeded_rng
-from swarmpulse.reference import SwarmParams, init_state
+from swarmpulse.reference import init_state
 from swarmpulse.runner import _sample_every, build_drone_engine, run_config
 from swarmpulse.scenarios import SCENARIO_NAMES, scenario_text
 
@@ -149,8 +149,7 @@ def test_variant_reaches_its_path(name, monkeypatch):
         elif name == "ref_n150":
             assert cfg.n > 128
         elif name == "ref_freq_var_omega":
-            params = SwarmParams(n=cfg.n, k=cfg.ref_k, j=cfg.ref_j, freq_var=cfg.ref_freq_var)
-            omega = init_state(params, seeded_rng(cfg.seed), cfg.ref_omega)[2]
+            omega = init_state(cfg, seeded_rng(cfg.seed))[2]
             assert omega.min() < cfg.ref_omega < omega.max() and len(set(omega)) == cfg.n
         elif name == "ref_negative_k_j":
             assert cfg.ref_k < 0.0 and cfg.ref_j < 0.0

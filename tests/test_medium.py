@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swarmpulse import drone
+from swarmpulse.config import ScenarioConfig
 from swarmpulse.engine import DroneSwarmEngine
-from swarmpulse.geometry import seeded_rng, vec
+from swarmpulse.geometry import vec
 from swarmpulse.medium import COLLISION_POLICIES, BroadcastMedium, PulseMessage
 
 from helpers import hearers
@@ -56,8 +56,8 @@ class TestDelivery:
         # The engine hands each surviving pulse to every living drone
         # except its sender.
         heard = hearers(monkeypatch)
-        eng = DroneSwarmEngine(params=drone.DroneParams(), medium=medium(),
-                               rng=seeded_rng(5))
+        eng = DroneSwarmEngine(ScenarioConfig(seed=5, drone_j=0.8, drone_a=1.0, drone_b=0.9,
+                                              smoothing_mode="none"))
         for i in range(5):
             eng.add_drone(vec(float(i), 0.0))
         eng.run(3.0)

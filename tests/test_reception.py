@@ -13,7 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmpulse.drone import DroneArrays, DroneParams, on_pulse_received
+from swarmpulse.config import ScenarioConfig
+from swarmpulse.drone import DroneArrays, on_pulse_received
 from swarmpulse.geometry import (
     EPSILON_DIST,
     TAU,
@@ -26,7 +27,7 @@ from swarmpulse.medium import PulseMessage
 from swarmpulse.smoothing import ExponentialFilter, MovingAverageFilter, make_filter
 
 
-def reference_movement_command(delta, phase_diff, params, rng=None):
+def reference_movement_command(delta, phase_diff, cfg, rng=None):
     dx, dy = delta
     d = math.hypot(dx, dy)
     if d <= EPSILON_DIST:
@@ -36,34 +37,34 @@ def reference_movement_command(delta, phase_diff, params, rng=None):
         d = EPSILON_DIST
     else:
         ux, uy = dx / d, dy / d
-    gain = params.a + params.j * math.cos(phase_diff)
-    scale = gain - params.b / d
+    gain = cfg.drone_a + cfg.drone_j * math.cos(phase_diff)
+    scale = gain - cfg.drone_b / d
     return ux * scale, uy * scale
 
 
-def reference_receive(state, row, smoother, msg, params, rng=None):
+def reference_receive(state, row, smoother, msg, cfg, rng=None):
     """The per-recipient reception: one drone, one pulse, one call."""
     phases = state.phases
     theta, hidden = phases[row].tolist()
     phase_diff = msg.theta - theta
 
-    if params.k_visible != 0.0:
-        phases[row, 0] = wrap_angle(theta + params.k_visible * math.sin(phase_diff))
-    if params.k_hidden != 0.0:
+    if cfg.drone_k_visible != 0.0:
+        phases[row, 0] = wrap_angle(theta + cfg.drone_k_visible * math.sin(phase_diff))
+    if cfg.drone_k_hidden != 0.0:
         ref = 0.0 if msg.hidden is None else msg.hidden
         psi = hidden - ref
         phases[row, 1] = wrap_angle(
-            hidden - params.k_hidden * math.sin(psi) / (2.0 - math.cos(psi))
+            hidden - cfg.drone_k_hidden * math.sin(psi) / (2.0 - math.cos(psi))
         )
 
     x, y = state.pos[row].tolist()
     sx, sy = msg.pos
     cx, cy = smoother.push(
-        reference_movement_command((sx - x, sy - y), phase_diff, params, rng)
+        reference_movement_command((sx - x, sy - y), phase_diff, cfg, rng)
     )
     speed = math.hypot(cx, cy)
-    if speed > params.speed_cap:
-        scale = params.speed_cap / speed
+    if speed > cfg.drone_speed_cap:
+        scale = cfg.drone_speed_cap / speed
         cx, cy = cx * scale, cy * scale
     command = state.command
     command[row, 0] = cx
@@ -95,13 +96,13 @@ def deliveries(draw):
     n = n_recipients + sender_alive
     ids = sorted(draw(st.lists(st.integers(0, 500), min_size=n, max_size=n, unique=True)))
     sender = draw(st.sampled_from(ids)) if sender_alive else 501
-    params = DroneParams(
-        k_visible=draw(st.sampled_from([0.0, 0.1]) | st.floats(-1.0, 1.0)),
-        k_hidden=draw(st.sampled_from([0.0, -0.1]) | st.floats(-1.0, 0.0)),
-        j=draw(st.floats(-1.0, 1.0)),
-        a=draw(st.floats(0.01, 2.0)),
-        b=draw(st.floats(0.01, 3.0)),
-        speed_cap=draw(st.sampled_from([0.01, 0.05, 0.3, 1e6])),
+    cfg = ScenarioConfig(
+        drone_k_visible=draw(st.sampled_from([0.0, 0.1]) | st.floats(-1.0, 1.0)),
+        drone_k_hidden=draw(st.sampled_from([0.0, -0.1]) | st.floats(-1.0, 0.0)),
+        drone_j=draw(st.floats(-1.0, 1.0)),
+        drone_a=draw(st.floats(0.01, 2.0)),
+        drone_b=draw(st.floats(0.01, 3.0)),
+        drone_speed_cap=draw(st.sampled_from([0.01, 0.05, 0.3, 1e6])),
     )
     pos = [(draw(coords), draw(coords)) for _ in range(n)]
     phases = [(draw(angles), draw(angles)) for _ in range(n)]
@@ -117,7 +118,7 @@ def deliveries(draw):
             pos[row] = (sx + offset, sy)
         hidden = draw(st.none() | angles)
         msgs.append(PulseMessage(sender, (sx, sy), draw(angles), 0.1 * k, hidden))
-    return params, ids, pos, phases, commands, msgs, draw(smoothing), draw(st.integers(0, 2**32))
+    return cfg, ids, pos, phases, commands, msgs, draw(smoothing), draw(st.integers(0, 2**32))
 
 
 def swarm(pos, phases, commands, mode):
@@ -128,7 +129,7 @@ def swarm(pos, phases, commands, mode):
 @settings(max_examples=300, deadline=None)
 @given(deliveries())
 def test_one_call_per_delivery_equals_one_call_per_recipient(case):
-    params, ids, pos, phases, commands, msgs, mode, seed = case
+    cfg, ids, pos, phases, commands, msgs, mode, seed = case
     ref_state, ref_filters = swarm(pos, phases, commands, mode)
     new_state, new_filters = swarm(pos, phases, commands, mode)
     ref_rng, new_rng = seeded_rng(seed), seeded_rng(seed)
@@ -139,8 +140,8 @@ def test_one_call_per_delivery_equals_one_call_per_recipient(case):
     for msg in msgs:
         for row, (drone_id, f) in enumerate(zip(ids, ref_filters)):
             if drone_id != msg.sender:
-                reference_receive(ref_state, row, f, msg, params, ref_rng)
-        on_pulse_received(new_state, ids, new_filters, msg, params, new_rng)
+                reference_receive(ref_state, row, f, msg, cfg, ref_rng)
+        on_pulse_received(new_state, ids, new_filters, msg, cfg, new_rng)
 
     assert new_state.values.tobytes() == ref_state.values.tobytes()
     assert [filter_state(f) for f in new_filters] == [filter_state(f) for f in ref_filters]
@@ -151,5 +152,6 @@ def test_no_recipients_changes_nothing():
     # The only row is the sender's.
     state, filters = swarm([(0.0, 0.0)], [(1.0, 2.0)], [(0.5, 0.5)], ("none", 10, 0.8))
     before = state.values.copy()
-    on_pulse_received(state, [0], filters, PulseMessage(0, (1.0, 0.0), 0.0, 0.0), DroneParams())
+    on_pulse_received(state, [0], filters, PulseMessage(0, (1.0, 0.0), 0.0, 0.0),
+                      ScenarioConfig())
     assert np.array_equal(state.values, before)

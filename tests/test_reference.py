@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from swarmpulse import metrics
+from swarmpulse.config import ScenarioConfig
 from swarmpulse.geometry import TAU, seeded_rng
 from swarmpulse.reference import (
-    SwarmParams,
     assign_frequencies,
     init_state,
     run_reference,
@@ -17,33 +17,33 @@ from swarmpulse.reference import (
     velocities,
 )
 
-PARAMS = SwarmParams(n=2, k=0.7, j=0.8, a=1.0, b=3.0)
+CFG = ScenarioConfig(n=2, ref_k=0.7, ref_j=0.8, ref_a=1.0, ref_b=3.0)
 
 
 class TestSpatialStep:
     def test_equilibrium_distance_zero_velocity(self):
         # Attraction (A + J) balances repulsion B/d at d = B/(A+J) = 5/3.
-        d_star = PARAMS.b / (PARAMS.a + PARAMS.j)
+        d_star = CFG.ref_b / (CFG.ref_a + CFG.ref_j)
         assert d_star == pytest.approx(5.0 / 3.0)
         pos = np.array([[0.0, 0.0], [d_star, 0.0]])
         theta = np.zeros(2)
-        v = velocities(pos, theta, PARAMS)
+        v = velocities(pos, theta, CFG)
         assert np.max(np.abs(v)) < 1e-12
 
     def test_closer_than_equilibrium_repels(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         theta = np.zeros(2)
-        v = velocities(pos, theta, PARAMS)
+        v = velocities(pos, theta, CFG)
         assert v[0, 0] < 0.0 and v[1, 0] > 0.0
 
     def test_farther_than_equilibrium_attracts(self):
         pos = np.array([[0.0, 0.0], [3.0, 0.0]])
         theta = np.zeros(2)
-        v = velocities(pos, theta, PARAMS)
+        v = velocities(pos, theta, CFG)
         assert v[0, 0] > 0.0 and v[1, 0] < 0.0
 
     def test_no_phase_influence_when_j_zero(self):
-        p = SwarmParams(n=3, k=0.5, j=0.0, a=1.0, b=2.0)
+        p = ScenarioConfig(n=3, ref_k=0.5, ref_j=0.0, ref_a=1.0, ref_b=2.0)
         rng = seeded_rng(0)
         pos = rng.uniform(-1, 1, (3, 2))
         v1 = velocities(pos, np.array([0.0, 1.0, 4.0]), p)
@@ -54,7 +54,7 @@ class TestSpatialStep:
         pos = np.array([[-1.3, 0.0], [1.3, 0.0]])
         theta = np.array([0.7, 0.7])
         for _ in range(500):
-            pos, _ = step_positions(pos, theta, PARAMS, 0.01)
+            pos, _ = step_positions(pos, theta, CFG, 0.01)
         assert np.allclose(pos[:, 1], 0.0, atol=1e-12)
         assert pos[0, 0] == pytest.approx(-pos[1, 0], abs=1e-9)
 
@@ -64,14 +64,14 @@ class TestPhaseStep:
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         theta = np.array([1.2, 1.2])
         omega = np.zeros(2)
-        out = step_phases(pos, theta, omega, PARAMS, 0.01)
+        out = step_phases(pos, theta, omega, CFG, 0.01)
         assert out[0] == out[1]
 
     def test_antipodal_drift_is_natural_frequency_only(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         theta = np.array([0.0, math.pi])
         omega = np.array([0.5, 0.5])
-        out = step_phases(pos, theta, omega, PARAMS, 0.01)
+        out = step_phases(pos, theta, omega, CFG, 0.01)
         assert out[0] == pytest.approx(0.5 * 0.01, abs=1e-15)
         assert out[1] == pytest.approx(math.pi + 0.5 * 0.01, abs=1e-12)
 
@@ -81,8 +81,8 @@ class TestPhaseStep:
         theta = np.array([0.0, math.pi / 2])
         omega = np.zeros(2)
         dt = 0.01
-        out = step_phases(pos, theta, omega, PARAMS, dt)
-        assert out[0] == pytest.approx((PARAMS.k / 2) * dt, rel=1e-12)
+        out = step_phases(pos, theta, omega, CFG, dt)
+        assert out[0] == pytest.approx((CFG.ref_k / 2) * dt, rel=1e-12)
 
 
 class TestFrequencies:
@@ -104,7 +104,7 @@ class TestFrequencies:
 
 class TestSymmetries:
     def _short_run(self, state, seed=0, steps=200):
-        p = SwarmParams(n=5, k=0.7, j=0.8, a=1.0, b=3.0)
+        p = ScenarioConfig(n=5, ref_k=0.7, ref_j=0.8, ref_a=1.0, ref_b=3.0)
         pos, theta, omega = state
         for _ in range(steps):
             new_pos, _ = step_positions(pos, theta, p, 0.01)
@@ -113,7 +113,7 @@ class TestSymmetries:
         return pos, theta
 
     def _initial(self, seed=0):
-        p = SwarmParams(n=5, k=0.7, j=0.8, a=1.0, b=3.0)
+        p = ScenarioConfig(n=5, ref_k=0.7, ref_j=0.8, ref_a=1.0, ref_b=3.0)
         return init_state(p, seeded_rng(seed))
 
     def test_translation_invariance(self):
@@ -144,7 +144,7 @@ class TestSymmetries:
         assert np.allclose(diff, 0.0, atol=1e-9)
 
     def test_centre_of_mass_static(self):
-        p = SwarmParams(n=20, k=0.7, j=0.8, a=1.0, b=3.0)
+        p = ScenarioConfig(n=20, ref_k=0.7, ref_j=0.8, ref_a=1.0, ref_b=3.0)
         pos, theta, omega = init_state(p, seeded_rng(3))
         com0 = pos.mean(axis=0)
         for _ in range(1000):
@@ -154,9 +154,10 @@ class TestSymmetries:
         assert np.linalg.norm(pos.mean(axis=0) - com0) < 1e-9
 
     def test_positive_coupling_raises_order_parameter(self):
-        p = SwarmParams(n=10, k=0.7, j=0.8, a=1.0, b=3.0)
+        p = ScenarioConfig(n=10, ref_k=0.7, ref_j=0.8, ref_a=1.0, ref_b=3.0, duration=30.0,
+                           dt=0.01)
         for seed in range(20):
-            trace = run_reference(p, 30.0, 0.01, seeded_rng(seed), trace_every=3000)
+            trace = run_reference(p, seeded_rng(seed), trace_every=3000)
             r0 = metrics.order_parameter(trace.thetas[0])
             r1 = metrics.order_parameter(trace.thetas[-1])
             assert r1 > r0
@@ -164,28 +165,26 @@ class TestSymmetries:
 
 class TestRunReference:
     def test_deterministic_given_seed(self):
-        p = SwarmParams(n=6, k=0.7, j=0.8, a=1.0, b=3.0)
-        a = run_reference(p, 2.0, 0.01, seeded_rng(9))
-        b = run_reference(p, 2.0, 0.01, seeded_rng(9))
+        p = ScenarioConfig(n=6, ref_k=0.7, ref_j=0.8, ref_a=1.0, ref_b=3.0, duration=2.0,
+                           dt=0.01)
+        a = run_reference(p, seeded_rng(9))
+        b = run_reference(p, seeded_rng(9))
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.thetas, b.thetas)
 
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            SwarmParams(n=1, k=0.1, j=0.1)
-        with pytest.raises(ValueError):
-            SwarmParams(n=3, k=0.1, j=0.1, a=-1.0)
-        with pytest.warns(UserWarning):
-            SwarmParams(n=3, k=0.1, j=2.0, a=1.0)
+    def test_warns_when_j_exceeds_a(self):
+        p = ScenarioConfig(n=3, ref_k=0.1, ref_j=2.0, ref_a=1.0, duration=0.1, dt=0.01)
+        with pytest.warns(UserWarning, match="exceeds a="):
+            run_reference(p, seeded_rng(0))
 
     @pytest.mark.parametrize("coincident", [False, True])
     def test_recorded_velocity_is_the_one_integrated(self, coincident):
-        p = SwarmParams(n=5, k=0.7, j=0.8, a=1.0, b=3.0)
+        dt = 0.01
+        p = ScenarioConfig(n=5, ref_k=0.7, ref_j=0.8, ref_a=1.0, ref_b=3.0, duration=0.5, dt=dt)
         pos, theta, omega = init_state(p, seeded_rng(4))
         if coincident:
             pos[3] = pos[1]
-        dt = 0.01
-        trace = run_reference(p, 0.5, dt, seeded_rng(5), trace_every=1, state=(pos, theta, omega))
+        trace = run_reference(p, seeded_rng(5), trace_every=1, state=(pos, theta, omega))
         assert len(trace.times) == 51
         assert np.all(np.isfinite(trace.velocities))
         for k in range(len(trace.times) - 1):
@@ -194,7 +193,7 @@ class TestRunReference:
             )
 
     def test_coincident_agents_use_rng_fallback(self):
-        p = SwarmParams(n=2, k=0.0, j=0.0, a=1.0, b=1.0)
+        p = ScenarioConfig(n=2, ref_k=0.0, ref_j=0.0, ref_a=1.0, ref_b=1.0)
         pos = np.zeros((2, 2))
         theta = np.zeros(2)
         v = velocities(pos, theta, p, rng=seeded_rng(0))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmpulse.config import ScenarioConfig
 from swarmpulse.geometry import (
     EPSILON_DIST,
     SQUARES_LIMIT,
@@ -24,7 +25,7 @@ from swarmpulse.geometry import (
     random_unit,
     seeded_rng,
 )
-from swarmpulse.reference import SwarmParams, _kernel, init_state, run_reference
+from swarmpulse.reference import _kernel, init_state, run_reference
 
 
 def parent_pair_geometry(pos, rng):
@@ -48,18 +49,18 @@ def parent_pair_geometry(pos, rng):
     return diff, dist
 
 
-def parent_rates(pos, theta, omega, params, rng):
+def parent_rates(pos, theta, omega, cfg, rng):
     n = pos.shape[0]
     diff, dist = parent_pair_geometry(pos, rng)
     dist[np.isinf(dist)] = np.nan
     phase_diff = theta[None, :] - theta[:, None]
-    gain = params.a + params.j * np.cos(phase_diff)
-    coeff = gain / dist - params.b / (dist * dist)
+    gain = cfg.ref_a + cfg.ref_j * np.cos(phase_diff)
+    coeff = gain / dist - cfg.ref_b / (dist * dist)
     np.fill_diagonal(coeff, 0.0)
     coupling = np.sin(phase_diff) / dist
     np.fill_diagonal(coupling, 0.0)
     vel = np.einsum("ij,ijk->ik", coeff, diff) / n
-    dtheta = omega + (params.k / n) * np.sum(coupling, axis=1)
+    dtheta = omega + (cfg.ref_k / n) * np.sum(coupling, axis=1)
     return vel, dtheta
 
 
@@ -80,8 +81,8 @@ def coupling(lo=-2.0, hi=2.0):
 def swarms(draw):
     n = draw(st.integers(2, 150))
     a = draw(st.floats(0.1, 3.0))
-    params = SwarmParams(n=n, k=draw(coupling()), j=draw(coupling(-a, a)), a=a,
-                         b=draw(st.floats(0.1, 5.0)))
+    cfg = ScenarioConfig(n=n, ref_k=draw(coupling()), ref_j=draw(coupling(-a, a)), ref_a=a,
+                         ref_b=draw(st.floats(0.1, 5.0)))
     data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pos = data.uniform(-1.0, 1.0, (n, 2)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
     theta = data.uniform(0.0, TAU, n)
@@ -98,29 +99,29 @@ def swarms(draw):
         pos[draw(st.integers(0, n - 1))] = data.choice([-1.0, 1.0], 2) * draw(
             st.sampled_from([1e153, 1e154, 1e160, 1e300])
         )
-    return params, pos, theta, omega
+    return cfg, pos, theta, omega
 
 
 @settings(max_examples=300, deadline=None)
 @given(swarms(), st.integers(0, 2**32 - 1))
 def test_kernel_matches_parent_rates(swarm, seed):
-    params, pos, theta, omega = swarm
+    cfg, pos, theta, omega = swarm
     rng_parent, rng_kernel = seeded_rng(seed), seeded_rng(seed)
     with np.errstate(all="ignore"):
-        vel, dtheta = parent_rates(pos.copy(), theta.copy(), omega, params, rng_parent)
+        vel, dtheta = parent_rates(pos.copy(), theta.copy(), omega, cfg, rng_parent)
         state = np.array((*pos.T, theta))
         flat = state.reshape(-1)
-        rates = _kernel(params, omega, rng_kernel, state)(flat.dot(flat) < SQUARES_LIMIT)
+        rates = _kernel(cfg, omega, rng_kernel, state)(flat.dot(flat) < SQUARES_LIMIT)
     assert_same_bits(rates[:2].T, vel)
     assert_same_bits(rates[2], dtheta)
     assert rng_kernel.bit_generator.state == rng_parent.bit_generator.state
 
 
 def test_kernel_refuses_coincident_agents_without_rng():
-    params = SwarmParams(n=3, k=0.7, j=0.8)
+    cfg = ScenarioConfig(n=3, ref_k=0.7, ref_j=0.8)
     pos = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="no RNG"):
-        _kernel(params, np.zeros(3), None, np.array((*pos.T, np.zeros(3))))(True)
+        _kernel(cfg, np.zeros(3), None, np.array((*pos.T, np.zeros(3))))(True)
 
 
 # The step and agent each case names, as the parent's per-call rates gave
@@ -158,24 +159,24 @@ def overflowing_pair_y(pos, theta, omega):
     (overflowing_pair_y, 1, 3),
 ])
 def test_blowup_names_the_parents_step_and_agent(inject, tick, agent):
-    params = SwarmParams(n=6, k=0.7, j=0.8)
-    pos, theta, omega = init_state(params, seeded_rng(3))
+    cfg = ScenarioConfig(n=6, ref_k=0.7, ref_j=0.8, duration=1.0, dt=0.01)
+    pos, theta, omega = init_state(cfg, seeded_rng(3))
     inject(pos, theta, omega)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericBlowup) as exc:
-            run_reference(params, 1.0, 0.01, seeded_rng(4), state=(pos, theta, omega))
+            run_reference(cfg, seeded_rng(4), state=(pos, theta, omega))
     assert (exc.value.tick, exc.value.agent_id) == (tick, agent)
 
 
 def test_large_finite_state_runs_without_warnings():
     # Coordinates past the sum-of-squares bound take the exact scan every
     # step and still run to the end when nothing overflows.
-    params = SwarmParams(n=4, k=0.7, j=0.8)
-    pos, theta, omega = init_state(params, seeded_rng(5))
+    cfg = ScenarioConfig(n=4, ref_k=0.7, ref_j=0.8, duration=0.1, dt=0.01)
+    pos, theta, omega = init_state(cfg, seeded_rng(5))
     pos[1] = (4e153, 0.0)
     assert pos.reshape(-1).dot(pos.reshape(-1)) > SQUARES_LIMIT
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = run_reference(params, 0.1, 0.01, seeded_rng(6), state=(pos, theta, omega))
+        trace = run_reference(cfg, seeded_rng(6), state=(pos, theta, omega))
     assert np.isfinite(trace.positions).all() and trace.positions[-1, 1, 0] == 4e153
