@@ -210,6 +210,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
     if cfg.model not in MODELS:
         bad(f"model must be one of {MODELS}, got {cfg.model!r}")
+    for key, (name, parse) in _KEYS.items():
+        if parse is float and not math.isfinite(getattr(cfg, name)):
+            bad(f"{key} must be finite, got {getattr(cfg, name)}")
     for key in ("duration", "dt", "trace_rate", "pulse.rate", "ref.a", "ref.b", "drone.a",
                 "drone.b", "drone.speed_cap"):
         if value(key) <= 0.0:

@@ -2,13 +2,14 @@
 run ends at each key's extreme values."""
 
 import contextlib
+import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from swarmpulse.config import ConfigError, ScenarioConfig, parse_config
+from swarmpulse.config import ConfigError, ScenarioConfig, parse_config, validate_config
 from swarmpulse.engine import NumericBlowup, ScenarioEventError
 from swarmpulse.runner import run_config
 
@@ -89,6 +90,16 @@ def test_key_sets_its_field_alone_with_its_type(key):
     assert value == (text == "true" if kind is bool else kind(text))
     assert cfg == replace(base, **{name: value})
     assert getattr(base, name) != value
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", [key for key, (_, kind) in KEYS.items() if kind is float])
+def test_in_code_non_finite_float_is_rejected_naming_key(key, value):
+    # Config text cannot hold these (`parse_config` refuses them by line);
+    # a config built in code meets only `validate_config`.
+    cfg = replace(parse_config(BASE), **{KEYS[key][0]: value})
+    with pytest.raises(ConfigError, match=f"{re.escape(key)} must be finite, got {value}"):
+        validate_config(cfg)
 
 
 UNKNOWN = sorted(
