@@ -97,8 +97,8 @@ MIN_GLIDE = 8
 
 
 class ScenarioEventError(ValueError):
-    """A timed event referenced an agent that does not exist, or would
-    despawn the last living drone."""
+    """A timed event referenced an agent that does not exist or has left,
+    or would despawn the last living drone."""
 
 
 @dataclass
@@ -306,6 +306,10 @@ class DroneSwarmEngine:
             if not 0 <= int(target) < self._spawned:
                 raise ScenarioEventError(
                     f"despawn at t={event.time} names unknown agent {target}"
+                )
+            if int(target) not in self.ids:
+                raise ScenarioEventError(
+                    f"despawn at t={event.time} names agent {target}, which has left"
                 )
             if self.ids == [int(target)]:
                 raise ScenarioEventError(

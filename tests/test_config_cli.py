@@ -242,6 +242,18 @@ class TestCli:
             assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
             assert f"unknown agent {target}" in capsys.readouterr().err
 
+    def test_despawn_of_departed_agent_exits_2_writing_nothing(self, tmp_path, capsys):
+        # Ids are never reused, so the second despawn of agent 2 could never act.
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(MINI_DRONE + "duration = 3.0\nseed = 1\nscenario.n = 4\n"
+                       "scenario.events = 1.0 despawn 2\nscenario.events = 2.0 despawn 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "t=2.0" in err and "agent 2, which has left" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["0", "nearest_centroid"])
     def test_despawn_of_last_drone_exits_2_writing_nothing(self, tmp_path, capsys, target):
         text = scenario_text("dropout_mid").replace(
