@@ -243,7 +243,6 @@ class DroneSwarmEngine:
         t0 = self.t
         t1 = (self.tick + 1) * self.dt
         state = self.state
-        payload = self.cfg.drone_hidden_in_payload
 
         try:
             for row, offset, theta in drone_mod.advance_clock(state, self.dt):
@@ -256,7 +255,7 @@ class DroneSwarmEngine:
                         pos=tuple(state.pos[row].tolist()),
                         theta=theta,
                         sent_at=sent_at,
-                        hidden=state.phases.item(row, 1) if payload else None,
+                        hidden=state.phases.item(row, 1) if self.cfg.drone_hidden_in_payload else None,
                     )
                 )
 

@@ -23,7 +23,6 @@ from swarmpulse.smoothing import IdentityFilter, make_filter
 from helpers import DroneView, circ_diff, drones, hearers
 
 
-
 def drone_cfg(**fields):
     """A config with the drone constants these tests were written for:
     `drone.j`, `drone.a` and `drone.b` of 0.8, 1.0 and 0.9 (ten times the
@@ -104,7 +103,7 @@ class TestPulseResponse:
     def test_command_pushed_through_filter(self):
         me = drone(smoother=make_filter("moving_average", 2))
         cfg = drone_cfg(drone_k_visible=0.0, drone_k_hidden=0.0, drone_j=0.0, drone_b=0.5,
-                           drone_speed_cap=10.0)
+                        drone_speed_cap=10.0)
         hear(me, pulse_from(1, (1.0, 0.0), 0.0), cfg)
         first = me.command.copy()
         hear(me, pulse_from(1, (2.0, 0.0), 0.0), cfg)
@@ -116,7 +115,7 @@ class TestPulseResponse:
     def test_speed_cap_applied_after_smoothing(self):
         me = drone()
         cfg = drone_cfg(drone_k_visible=0.0, drone_k_hidden=0.0, drone_j=0.0, drone_a=5.0,
-                           drone_b=0.001)
+                        drone_b=0.001)
         hear(me, pulse_from(1, (1.0, 0.0), 0.0), cfg)
         assert np.linalg.norm(me.command) == pytest.approx(0.3)
 
