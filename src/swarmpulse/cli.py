@@ -20,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config, validate_config
+from .config import ConfigError, parse_config
 from .engine import NumericBlowup, ScenarioEventError
 from .runner import run_config
 from .scenarios import SCENARIO_NAMES, UnknownScenario, scenario_text
@@ -60,13 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_scenario(arg: str) -> tuple[str, str]:
     """Returns (name, config text) for a bundled name or a file path."""
     path = Path(arg)
-    if path.is_file():
-        try:
+    try:
+        if path.is_file():
             return path.stem, path.read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise ConfigError([(None, f"{path}: not a UTF-8 text file")]) from None
-        except OSError as exc:
-            raise ConfigError([(None, f"{path}: cannot read ({exc.strerror})")]) from None
+    except UnicodeDecodeError:
+        raise ConfigError([(None, f"{path}: not a UTF-8 text file")]) from None
+    except OSError as exc:
+        raise ConfigError([(None, f"{path}: cannot read ({exc.strerror})")]) from None
     try:
         return arg, scenario_text(arg)
     except UnknownScenario:
@@ -81,13 +81,10 @@ def _cmd_run(args) -> int:
         cfg = parse_config(text)
         if args.seed is not None:
             cfg.seed = args.seed
-            validate_config(cfg)
+        result = run_config(cfg, name=name, out_dir=args.out, write=True)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        result = run_config(cfg, name=name, out_dir=args.out, write=True)
     except NumericBlowup as exc:
         print(f"numeric blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP

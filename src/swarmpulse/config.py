@@ -31,6 +31,7 @@ line number so the CLI can print line-level diagnostics and exit 2.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -198,8 +199,16 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
+def _is_point(pos) -> bool:
+    """Whether `pos` is a sequence of two real numbers."""
+    return (isinstance(pos, (tuple, list, np.ndarray)) and getattr(pos, "ndim", 1) == 1
+            and len(pos) == 2 and all(isinstance(c, numbers.Real) for c in pos))
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
-    """Semantic validation shared by file-based and in-code configs."""
+    """The one check of a config's values and events, made by
+    `parse_config` and by `runner.run_config` before every run; no model
+    layer checks them again. Raises ConfigError listing every problem."""
     problems: list[tuple[int | None, str]] = []
 
     def bad(msg: str) -> None:
@@ -272,9 +281,18 @@ def validate_config(cfg: ScenarioConfig) -> None:
             bad(f"event time {ev.time} outside run [0, {cfg.duration}]")
         elif end == 0.0 or ev.time > end + 1e-12:
             bad(f"event time {ev.time} is never reached: the run's ticks end at t={end:.9g}")
-        if ev.kind == "spawn" and not max(abs(c) for c in ev.pos) < COORD_LIMIT:
-            bad(f"spawn at t={ev.time}: position {tuple(ev.pos)} must have every "
-                f"coordinate below {COORD_LIMIT:.3g} in magnitude")
+        if ev.kind == "spawn":
+            if not _is_point(ev.pos):
+                bad(f"spawn at t={ev.time} needs a position of two coordinates, got {ev.pos!r}")
+            elif not max(abs(c) for c in ev.pos) < COORD_LIMIT:
+                bad(f"spawn at t={ev.time}: position {tuple(ev.pos)} must have every "
+                    f"coordinate below {COORD_LIMIT:.3g} in magnitude")
+        elif ev.kind == "despawn":
+            if not (ev.target == "nearest_centroid" or isinstance(ev.target, numbers.Integral)):
+                bad(f"despawn at t={ev.time} needs an agent id or 'nearest_centroid', "
+                    f"got {ev.target!r}")
+        else:
+            bad(f"event at t={ev.time}: kind must be 'spawn' or 'despawn', got {ev.kind!r}")
 
     if problems:
         raise ConfigError(problems)
@@ -295,14 +313,13 @@ def formation_positions(cfg: ScenarioConfig) -> list[np.ndarray]:
     if cfg.formation == "line":
         offset = 0.5 * (cfg.n - 1) / 2.0
         return [np.array([0.5 * i - offset, 0.0]) for i in range(cfg.n)]
-    if cfg.formation == "ring":
-        return [
-            np.array(
-                [
-                    0.5 * math.cos(2.0 * math.pi * i / cfg.n),
-                    0.5 * math.sin(2.0 * math.pi * i / cfg.n),
-                ]
-            )
-            for i in range(cfg.n)
-        ]
-    raise ConfigError([(None, f"unknown formation {cfg.formation!r}")])
+    # "ring", the one formation left.
+    return [
+        np.array(
+            [
+                0.5 * math.cos(2.0 * math.pi * i / cfg.n),
+                0.5 * math.sin(2.0 * math.pi * i / cfg.n),
+            ]
+        )
+        for i in range(cfg.n)
+    ]

@@ -193,8 +193,6 @@ def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, float, float
     interpolated to that instant. A row whose hidden rate is not
     positive never reaches 2*pi from below, so never fires.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
     if state.rate_dt is None or state.rate_dt_of != dt:
         state.rate_dt, state.rate_dt_of = state.rates * dt, dt
         state.negative_rates = bool((state.rates < 0.0).any())
@@ -224,6 +222,4 @@ def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, float, float
 
 def apply_motion(state: DroneArrays, dt: float) -> None:
     """Integrate every row's held velocity over dt."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
     state.pos += state.command * dt

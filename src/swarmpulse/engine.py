@@ -3,7 +3,9 @@
 One engine owns one timeline: the drones, the broadcast medium, the
 scenario RNG, and the timed spawn/despawn events. It is built from the
 run's `ScenarioConfig` alone, with no drone yet, and makes its own
-medium, RNG, event list and smoothing filters from it. Each tick covers
+medium, RNG, event list and smoothing filters from it. It trusts that
+config, which `runner.run_config` checks, and refuses only the despawns
+that a run alone shows to be wrong (ScenarioEventError). Each tick covers
 [t, t + dt] and always runs in the same order:
 
 1. every living drone's clocks advance; hidden-phase wraps enqueue
@@ -298,7 +300,7 @@ class DroneSwarmEngine:
     def _apply_event(self, event: ScenarioEvent) -> None:
         if event.kind == "spawn":
             self.add_drone(event.pos)
-        elif event.kind == "despawn":
+        else:
             target = event.target
             if target == "nearest_centroid":
                 target = self._nearest_centroid()
@@ -315,8 +317,6 @@ class DroneSwarmEngine:
                     f"despawn at t={event.time} of agent {target} would leave no drone alive"
                 )
             self.despawn(int(target))
-        else:
-            raise ValueError(f"unknown event kind {event.kind!r}")
 
     def run(self, duration: float, sample_every: int | None = None) -> None:
         """Step until the absolute simulation time `duration`.

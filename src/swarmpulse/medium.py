@@ -16,6 +16,8 @@ logical timeline, so delivery order (delivery_time, then sender id) is
 globally consistent and deterministic. It keeps the earliest delivery
 time in flight, `next_due`, so a poll with nothing due returns without
 scanning the queue, and the engine can tell which ticks deliver nothing.
+Its airtime and policy are the run's `medium.*` keys, which only
+`config.validate_config` checks; the medium checks that time never runs back.
 """
 
 from __future__ import annotations
@@ -61,21 +63,12 @@ class MediumStats:
 class BroadcastMedium:
     """Single-channel broadcast with interval-overlap interference."""
 
-    airtime: float = 0.005
-    collision_policy: str = "drop_all"
+    airtime: float
+    collision_policy: str
     _queue: list[_InFlight] = field(default_factory=list, init=False)
     _last_poll: float = field(default=0.0, init=False)
     next_due: float = field(default=math.inf, init=False)  # earliest in `_queue`
     stats: MediumStats = field(default_factory=MediumStats, init=False)
-
-    def __post_init__(self) -> None:
-        if self.airtime < 0.0:
-            raise ValueError(f"airtime must be >= 0, got {self.airtime}")
-        if self.collision_policy not in COLLISION_POLICIES:
-            raise ValueError(
-                f"unknown collision policy {self.collision_policy!r} "
-                f"(expected one of {COLLISION_POLICIES})"
-            )
 
     def broadcast(self, msg: PulseMessage) -> None:
         """Enqueue a pulse; mark interference with anything in flight.

@@ -17,14 +17,20 @@ absorbing: once all phases are equal they fire as one group forever.
 Determinism rules: crossings within a step are handled in ascending
 crossing-time order (ties by ascending id); pulses raised during a
 cascade are served FIFO with receivers visited in ascending id.
+The coupling k and the rate are the run's `pulse.k` and `pulse.rate`,
+which only `config.validate_config` checks.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from typing import TYPE_CHECKING
 
 from .geometry import unit_phase_dist, wrap_unit_phase
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 
 def receive_pulse(theta: float, k: float) -> float:
@@ -37,8 +43,6 @@ def receive_pulse(theta: float, k: float) -> float:
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError(f"unit phase out of range: {theta}")
-    if k < 0.0:
-        raise ValueError(f"coupling must be >= 0, got {k}")
     try:
         response = (theta ** 0.5 + k) ** 2
     except OverflowError:
@@ -49,12 +53,9 @@ def receive_pulse(theta: float, k: float) -> float:
 class PulsePopulation:
     """Ordered set of identical pulse-coupled oscillators."""
 
-    def __init__(self, phases: list[float], k: float, rate: float = 1.0):
-        if rate <= 0.0:
-            raise ValueError(f"rate must be > 0, got {rate}")
+    def __init__(self, phases: list[float], cfg: ScenarioConfig):
         self.phases = [wrap_unit_phase(float(p)) for p in phases]
-        self.k = float(k)
-        self.rate = float(rate)
+        self.k, self.rate = cfg.pulse_k, cfg.pulse_rate
         self.t = 0.0
 
     @property
@@ -104,8 +105,6 @@ class PulsePopulation:
         crossing instant with the usual cascade semantics. Returns every
         fire as (time, osc_id), in processing order.
         """
-        if dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {dt}")
         events: list[tuple[float, int]] = []
         remaining = dt
         while remaining > 0.0:

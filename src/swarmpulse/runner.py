@@ -2,8 +2,9 @@
 
 One call builds the configured model, simulates it on a single
 timeline, and collects the three trace tables plus a summary dict. The
-same config and seed always produce byte-identical trace files. Each
-model reads its constants from the config itself.
+same config and seed always produce byte-identical trace files.
+`run_config` first checks the config with `config.validate_config`; each
+model then reads its constants from it and trusts them.
 
 All three models end in one function, `_result`, which takes a run's
 trace columns (the sample times and agent counts, flat ids, phases and
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .config import ScenarioConfig, formation_positions
+from .config import ScenarioConfig, formation_positions, validate_config
 from .engine import DroneSwarmEngine
 from .geometry import TAU, seeded_rng
 from .pulse import PulsePopulation
@@ -85,15 +86,16 @@ def run_config(
     out_dir: str | None = None,
     write: bool = True,
 ) -> RunResult:
-    """Execute one scenario; optionally write its trace files."""
+    """Execute one scenario; optionally write its trace files. A config
+    that `validate_config` refuses raises ConfigError before anything is
+    built or written."""
+    validate_config(cfg)
     if cfg.model == "pulse":
         result = _run_pulse(cfg, name)
     elif cfg.model == "reference_swarmalator":
         result = _run_reference(cfg, name)
-    elif cfg.model == "drone":
-        result = _run_drone(cfg, name)
     else:
-        raise ValueError(f"unknown model {cfg.model!r}")
+        result = _run_drone(cfg, name)
 
     if write:
         base = resolve_out_dir(cfg, out_dir) / name
@@ -161,7 +163,7 @@ def _result(cfg: ScenarioConfig, name: str, times, counts, ids, theta, hidden, p
 
 def _run_pulse(cfg: ScenarioConfig, name: str) -> RunResult:
     rng = seeded_rng(cfg.seed)
-    pop = PulsePopulation(list(rng.uniform(0.0, 1.0, cfg.n)), cfg.pulse_k, cfg.pulse_rate)
+    pop = PulsePopulation(list(rng.uniform(0.0, 1.0, cfg.n)), cfg)
     fire_log: list[tuple[float, int]] = []
     steps = int(round(cfg.duration / cfg.dt))
     every = _sample_every(cfg)

@@ -113,12 +113,12 @@ def test_c01_pulse_synchronisation():
     successes = 0
     for seed in range(50):
         rng = seeded_rng(seed)
-        pop = PulsePopulation(list(rng.uniform(0.0, 1.0, 9)), 0.05, rate=1.0)
+        pop = PulsePopulation(list(rng.uniform(0.0, 1.0, 9)), ScenarioConfig(pulse_k=0.05))
         if run_to_sync(pop, 100.0, 0.01) is not None:
             successes += 1
 
     rng = seeded_rng(0)
-    uncoupled = PulsePopulation(list(rng.uniform(0.0, 1.0, 9)), 0.0, rate=1.0)
+    uncoupled = PulsePopulation(list(rng.uniform(0.0, 1.0, 9)), ScenarioConfig(pulse_k=0.0))
     floor_start = uncoupled.spread()
     floor = min_spread_over(uncoupled, 100.0)
     elapsed = time.perf_counter() - started

@@ -6,6 +6,7 @@ import math
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swarmpulse import cli, drone
@@ -17,6 +18,7 @@ from swarmpulse.config import (
     validate_config,
 )
 from swarmpulse.engine import NumericBlowup, ScenarioEvent
+from swarmpulse.runner import run_config
 from swarmpulse.scenarios import SCENARIO_NAMES, scenario_text
 from swarmpulse.traces import compare_metrics
 
@@ -118,6 +120,31 @@ class TestParsing:
         with pytest.raises(ConfigError, match="outside run"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize(
+        "event, named",
+        [
+            (ScenarioEvent(0.5, "teleport", pos=(0.0, 0.0)), "kind must be 'spawn' or 'despawn'"),
+            (ScenarioEvent(0.5, "spawn"), "needs a position of two coordinates"),
+            (ScenarioEvent(0.5, "spawn", pos=(0.3,)), "needs a position of two coordinates"),
+            (ScenarioEvent(0.5, "spawn", pos=(0.3, 0.3, 0.3)), "needs a position of two"),
+            (ScenarioEvent(0.5, "despawn"), "needs an agent id or 'nearest_centroid'"),
+            (ScenarioEvent(0.5, "despawn", target="first"), "needs an agent id"),
+            (ScenarioEvent(0.5, "despawn", target=1.0), "needs an agent id"),
+        ],
+    )
+    def test_in_code_event_of_bad_shape_rejected_naming_time(self, tmp_path, event, named):
+        cfg = parse_config(MINI_DRONE)
+        cfg.events = [event]
+        with pytest.raises(ConfigError, match=f"t=0.5.*{named}"):
+            run_config(cfg, out_dir=str(tmp_path), write=True)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_in_code_events_of_numpy_values_run(self):
+        cfg = parse_config(MINI_DRONE)
+        cfg.events = [ScenarioEvent(0.5, "spawn", pos=np.array([0.3, 0.3])),
+                      ScenarioEvent(1.0, "despawn", target=np.int64(3))]
+        assert run_config(cfg, write=False).summary["agents_final"] == 3
+
     def test_positive_hidden_coupling_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINI_DRONE.replace("drone.k_hidden = -0.1", "drone.k_hidden = 0.2"))
@@ -208,6 +235,14 @@ class TestCli:
         b = (tmp_path / "b" / "mini" / "phases.csv").read_bytes()
         assert a != b
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exits_2_writing_nothing(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        assert cli.main(["run", "quincunx_ma10", "--seed", seed, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"seed must be a 64-bit unsigned integer, got {seed}" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWARMPULSE_OUT", str(tmp_path / "envout"))
         cfg = tmp_path / "mini.cfg"
@@ -287,6 +322,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{cfg}: cannot read (Permission denied)" in err
         assert not (tmp_path / "out").exists()
+
+    def test_path_too_long_to_look_up_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "x" * 5000, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read (File name too long)" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_blowup_exit_code(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "mini.cfg"
@@ -414,6 +456,11 @@ class TestCli:
             ("table1_static_sync", "ref.freq_var = -1"),
             ("pulse_n9", "pulse.rate = 0"),
             ("pulse_n9", "pulse.k = -0.1"),
+            ("quincunx_ma10", "smoothing.window = 0"),
+            ("quincunx_ma10", "smoothing.alpha = 1.5"),
+            ("quincunx_ma10", "smoothing.mode = kalman"),
+            ("quincunx_ma10", "medium.collision_policy = capture"),
+            ("quincunx_ma10", "medium.airtime = -1"),
         ],
     )
     def test_out_of_range_constant_exits_2_naming_key(self, tmp_path, capsys, scenario, line):

@@ -98,8 +98,35 @@ def test_in_code_non_finite_float_is_rejected_naming_key(key, value):
     # Config text cannot hold these (`parse_config` refuses them by line);
     # a config built in code meets only `validate_config`.
     cfg = replace(parse_config(BASE), **{KEYS[key][0]: value})
-    with pytest.raises(ConfigError, match=f"{re.escape(key)} must be finite, got {value}"):
+    named = f"{re.escape(key)} must be finite, got {value}"
+    with pytest.raises(ConfigError, match=named):
         validate_config(cfg)
+    with pytest.raises(ConfigError, match=named):
+        run_config(cfg, write=False)
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"drone_speed_cap": -1.0}, "drone.speed_cap must be > 0"),
+        ({"drone_k_hidden": 0.1}, "drone.k_hidden must be <= 0"),
+        ({"ref_a": -1.0}, "ref.a must be > 0"),
+        ({"formation": "quincunx", "n": 3}, "quincunx formation needs exactly 5 agents"),
+        ({"model": "reference_swarmalator", "n": 2}, "ref.n must be >= 3"),
+        ({"dt": math.nan}, "dt must be finite"),
+        ({"trace_rate": 0.0}, "trace_rate must be > 0"),
+        ({"model": "bogus"}, "model must be one of"),
+        ({"formation": "bogus"}, "formation must be one of"),
+    ],
+)
+def test_run_config_refuses_an_in_code_config_writing_nothing(tmp_path, fields, named):
+    # No text to parse: `run_config` is the only check such a config meets.
+    cfg = ScenarioConfig(duration=0.5, **fields)
+    with pytest.raises(ConfigError, match=named):
+        run_config(cfg, write=False)
+    with pytest.raises(ConfigError, match=named):
+        run_config(cfg, out_dir=str(tmp_path), write=True)
+    assert list(tmp_path.iterdir()) == []
 
 
 UNKNOWN = sorted(

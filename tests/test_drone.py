@@ -87,7 +87,7 @@ class TestPulseResponse:
         # so serving its row would also draw from the RNG.
         state = DroneArrays([(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)], [(0.0, 0.0)] * 3,
                             [(0.5, 1.0), (0.3, 2.0), (0.1, 3.0)], [(TAU, TAU)] * 3)
-        ids, filters = [2, 3, 7], [make_filter("moving_average", 2) for _ in range(3)]
+        ids, filters = [2, 3, 7], [make_filter("moving_average", 2, 0.8) for _ in range(3)]
         rng = seeded_rng(4)
         before = {f: getattr(state, f).copy() for f in DroneArrays.FIELDS}
         rng_before = rng.bit_generator.state
@@ -101,7 +101,7 @@ class TestPulseResponse:
             assert state.phases[row, 0] != before["phases"][row, 0]
 
     def test_command_pushed_through_filter(self):
-        me = drone(smoother=make_filter("moving_average", 2))
+        me = drone(smoother=make_filter("moving_average", 2, 0.8))
         cfg = drone_cfg(drone_k_visible=0.0, drone_k_hidden=0.0, drone_j=0.0, drone_b=0.5,
                         drone_speed_cap=10.0)
         hear(me, pulse_from(1, (1.0, 0.0), 0.0), cfg)

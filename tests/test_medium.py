@@ -115,10 +115,6 @@ class TestCollisions:
         assert m.stats.collisions == 2  # still counted
         assert m.stats.dropped == 0
 
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            BroadcastMedium(collision_policy="capture")
-
 
 class TestConservation:
     def test_sent_equals_delivered_plus_dropped_plus_in_flight(self):
