@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmpulse.config import ConfigError, ScenarioConfig
+from swarmpulse.runner import run_config
 from swarmpulse.smoothing import (
     ExponentialFilter,
     IdentityFilter,
@@ -21,6 +23,14 @@ from swarmpulse.smoothing import (
 
 def pair(x, y):
     return float(x), float(y)
+
+
+def assert_refused(key, **fields):
+    """The filters trust their arguments: `run_config` refuses a bad
+    smoothing value, naming its key, before any filter is built."""
+    cfg = ScenarioConfig(model="drone", duration=0.1, **fields)
+    with pytest.raises(ConfigError, match=key):
+        run_config(cfg, write=False)
 
 
 def push(f, x):
@@ -64,6 +74,9 @@ class TestMovingAverage:
         out = push(f, pair(4.0, 0.0))
         assert np.allclose(out, pair(3.0, 0.0))
 
+    def test_rejects_bad_window(self):
+        assert_refused("smoothing.window", smoothing_window=0)
+
 
 class TestExponential:
     def test_alpha_one_is_identity(self):
@@ -95,12 +108,19 @@ class TestExponential:
             assert err == pytest.approx(prev_err * 0.2, rel=1e-9)
             prev_err = err
 
+    def test_rejects_bad_alpha(self):
+        for alpha in (0.0, -0.5, 1.5):
+            assert_refused("smoothing.alpha", smoothing_mode="exponential", smoothing_alpha=alpha)
+
 
 class TestMakeFilter:
     def test_modes(self):
         assert isinstance(make_filter("none", 10, 0.8), IdentityFilter)
         assert isinstance(make_filter("moving_average", 5, 0.8), MovingAverageFilter)
         assert isinstance(make_filter("exponential", 10, 0.2), ExponentialFilter)
+
+    def test_unknown_mode(self):
+        assert_refused("smoothing.mode", smoothing_mode="kalman")
 
 
 def _random_stream(rng, length=40):
