@@ -45,15 +45,14 @@ payload of the sin law while letting every harmonic repel.
 No update ever depends on how many drones are in the swarm. The
 constants are the run's `drone.*` keys, read from its `ScenarioConfig`.
 
-State lives in arrays, not in per-drone objects. A `DroneArrays` holds
-one row per drone: position, held command, (theta, hidden) and
-(omega, hidden_omega). The clock and motion kernels, `advance_clock` and
-`apply_motion`, step every row at once. A drone is its row and
-nothing else: whoever owns the arrays keeps, aligned with the rows, the
-drones' ids and their smoothing filters, which take and return (x, y)
-pairs. `on_pulse_received` serves every row that hears one pulse in one
-call: it reads the rows once as Python floats, updates each in turn,
-and writes the rows back once.
+The swarm is one `DroneArrays`, and a drone is one row of it: its id,
+its smoothing filter (which takes and returns (x, y) pairs), position,
+held command, (theta, hidden) and (omega, hidden_omega). The clock and
+motion kernels, `advance_clock` and `apply_motion`, step every row at
+once. A spawn or a despawn builds the next swarm (`joined`, `without`)
+and leaves the current one as it was. `on_pulse_received` serves every
+row that hears one pulse in one call: it reads the rows once as Python
+floats, updates each in turn, and writes the rows back once.
 """
 
 from __future__ import annotations
@@ -63,20 +62,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import (
-    EPSILON_DIST,
-    TAU,
-    SingularityError,
-    random_unit,
-    wrap_angle,
-)
+from .geometry import EPSILON_DIST, TAU, random_unit, wrap_angle
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
 
 class DroneArrays:
-    """State of a set of drones, one row each, as contiguous float64 arrays.
+    """A swarm of drones, one row each: row r is drone `ids[r]`, which
+    smooths its commands with `filters[r]`, and its state sits in row r
+    of contiguous float64 arrays.
 
     `pos` and `command` are (n, 2); `command` is the held velocity
     (already smoothed and capped), kept between pulses as a zero-order
@@ -84,16 +79,17 @@ class DroneArrays:
     `rates` is (n, 2) holding (omega, hidden_omega). `pos`, `command`
     and `phases` are consecutive views of one buffer, `values`, so a
     single reduction can check all three. Every kernel updates them in
-    place. `rate_dt`, the rates times dt, and `top_rate`, its largest
-    entry, are cached by `advance_clock` for the dt in `rate_dt_of`;
-    whoever writes `rates` sets `rate_dt` back to None. `top`, the
-    largest raw phase of the last clock step, and `top_rate` bound the
-    ticks to the next wrap.
+    place; membership never changes in place. `rate_dt`, the rates
+    times dt, and `top_rate`, its largest entry, are cached by
+    `advance_clock` for the dt in `rate_dt_of`; whoever writes `rates`
+    sets `rate_dt` back to None. `top`, the largest raw phase of the
+    last clock step, and `top_rate` bound the ticks to the next wrap.
     """
 
     FIELDS = ("pos", "command", "phases", "rates")
 
-    def __init__(self, pos, command, phases, rates):
+    def __init__(self, ids: list[int], filters: list, pos, command, phases, rates):
+        self.ids, self.filters = ids, filters
         self.values = np.concatenate(
             [np.asarray(x, dtype=np.float64).reshape(-1) for x in (pos, command, phases)]
         )
@@ -106,22 +102,32 @@ class DroneArrays:
         self.negative_rates = False
         self.top_rate, self.top = 0.0, math.inf
 
+    def joined(self, drone_id: int, smoother, pos, phases, rates) -> DroneArrays:
+        """This swarm with drone `drone_id` at rest as its last row."""
+        row = (pos, (0.0, 0.0), phases, rates)
+        return DroneArrays(
+            [*self.ids, drone_id], [*self.filters, smoother],
+            *(np.vstack([getattr(self, f), x]) for f, x in zip(self.FIELDS, row)),
+        )
+
+    def without(self, drone_id: int) -> DroneArrays:
+        """This swarm without drone `drone_id`'s row."""
+        row = self.ids.index(drone_id)
+        return DroneArrays(
+            self.ids[:row] + self.ids[row + 1:], self.filters[:row] + self.filters[row + 1:],
+            *(np.delete(getattr(self, f), row, axis=0) for f in self.FIELDS),
+        )
+
 
 def on_pulse_received(
-    state: DroneArrays,
-    ids: list[int],
-    filters: list,
-    msg,
-    cfg: ScenarioConfig,
-    rng: np.random.Generator | None = None,
+    state: DroneArrays, msg, cfg: ScenarioConfig, rng: np.random.Generator
 ) -> None:
     """Apply one received pulse to every row of `state` but its sender's,
     in place.
 
-    Row r is drone `ids[r]`, which smooths its commands with
-    `filters[r]`. Every row whose id is not `msg.sender` hears the
-    pulse, in row order; that order fixes the order of the filter
-    pushes and of the RNG draws for coincident drones. Each row's phase
+    Every row whose id is not `msg.sender` hears the pulse, in row
+    order; that order fixes the order of the filter pushes and of the
+    RNG draws for coincident drones. Each row's phase
     kicks and movement command come from its own pre-update state. The
     hidden reference defaults to 0 (pulse timing implies the sender's
     hidden phase just wrapped).
@@ -154,7 +160,7 @@ def on_pulse_received(
     ref = 0.0 if msg.hidden is None else msg.hidden
     sender, theta_j, (sx, sy) = msg.sender, msg.theta, msg.pos
     sin, cos, hypot = math.sin, math.cos, math.hypot
-    for i, drone_id, smoother in zip(range(0, m, 2), ids, filters):
+    for i, drone_id, smoother in zip(range(0, m, 2), state.ids, state.filters):
         if drone_id == sender:
             continue
         theta, hidden = phases[i], phases[i + 1]
@@ -168,8 +174,6 @@ def on_pulse_received(
         dx, dy = sx - pos[i], sy - pos[i + 1]
         d = hypot(dx, dy)
         if d <= EPSILON_DIST:
-            if rng is None:
-                raise SingularityError("coincident drones and no RNG for fallback")
             ux, uy = random_unit(rng).tolist()
             d = EPSILON_DIST
         else:

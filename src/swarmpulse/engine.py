@@ -29,14 +29,13 @@ a tick boundary t, after that tick's deliveries, so:
 
 Drones get ids in spawn order, 0 first, and no id is ever reused.
 
-A living drone is one row and nothing else. `state` is one
-`drone.DroneArrays` holding the rows in ascending id order: `pos` and
-`command` (n, 2), `phases` (n, 2) as (theta, hidden), `rates` (n, 2) as
-(omega, hidden_omega). `ids` and `filters` are lists aligned with them:
-row r is drone `ids[r]`, and `filters[r]` smooths its commands. A
-departed drone leaves no trace. A membership change binds all three to
-new objects and never mutates the old ones, so whoever holds them sees
-the swarm as it was. Steps 1 and 3 are one array kernel each per tick
+The swarm is one object, `state`, a `drone.DroneArrays`, and a living
+drone is one row of it, in ascending id order: its id and smoothing
+filter beside `pos` and `command` (n, 2), `phases` (n, 2) as
+(theta, hidden) and `rates` (n, 2) as (omega, hidden_omega). A departed
+drone leaves no trace. A membership change binds `state` to a new
+swarm and never mutates the old one, so whoever holds it sees the swarm
+as it was. Steps 1 and 3 are one array kernel each per tick
 (`drone.advance_clock`, `drone.apply_motion`); step 2 is one
 `drone.on_pulse_received` call per delivered pulse, which serves every
 row but the sender's. Every value is computed by the same floating-point
@@ -62,9 +61,10 @@ cheap bound on the ticks to the next wrap. A swarm with a negative rate
 is stepped tick by tick, as `np.mod` wraps a negative raw phase.
 
 A run that samples keeps, per sample, its tick, a copy of its `values`
-row and the cumulative collision count, with the ids of each membership
-segment kept once. A glide has no event or pulse, so its samples share
-ids and count: it keeps them as one block of its buffer's rows.
+row and the cumulative collision count, filed under the swarm of its
+membership segment, whose ids are the segment's. A glide has no event
+or pulse, so its samples share ids and count: it keeps them as one
+block of its buffer's rows.
 
 Determinism is absolute: identical construction and dt yield identical
 trajectories, fire logs, and collision counts. State is checked every
@@ -147,16 +147,14 @@ class DroneSwarmEngine:
         self.medium = BroadcastMedium(cfg.medium_airtime, cfg.medium_collision_policy)
         self.rng = seeded_rng(cfg.seed)
         self.events = sorted(cfg.events, key=lambda e: e.time)
-        self.state = DroneArrays([], [], [], [])
-        self.ids: list[int] = []
-        self.filters: list = []
+        self.state = DroneArrays([], [], [], [], [], [])
         self._spawned = 0
         self.tick = 0
         self.fire_log: list[tuple[float, int]] = []
         self._next_event = 0
         # Kept samples (see `_keep`).
         self._ticks, self._collisions = [], []
-        self._segments: list[tuple[DroneArrays, np.ndarray, list[np.ndarray]]] = []
+        self._segments: list[tuple[DroneArrays, list[np.ndarray]]] = []
 
     @property
     def t(self) -> float:
@@ -179,14 +177,9 @@ class DroneSwarmEngine:
             rates = rng.uniform(base - var, base + var), rng.uniform(base - var, base + var)
         else:
             rates = base, base
-        row = (pos, (0.0, 0.0), phases, rates)
         drone_id, self._spawned = self._spawned, self._spawned + 1
-        self.state = DroneArrays(*(
-            np.vstack([getattr(self.state, f), x]) for f, x in zip(DroneArrays.FIELDS, row)
-        ))
-        self.ids = [*self.ids, drone_id]
         smoother = make_filter(cfg.smoothing_mode, cfg.smoothing_window, cfg.smoothing_alpha)
-        self.filters = [*self.filters, smoother]
+        self.state = self.state.joined(drone_id, smoother, pos, phases, rates)
         return drone_id
 
     def despawn(self, drone_id: int) -> None:
@@ -194,22 +187,15 @@ class DroneSwarmEngine:
         ignored, and one never spawned raises KeyError."""
         if not 0 <= drone_id < self._spawned:
             raise KeyError(drone_id)
-        if drone_id not in self.ids:
-            return
-        row = self.ids.index(drone_id)
-        self.state = DroneArrays(
-            *(np.delete(getattr(self.state, f), row, axis=0) for f in DroneArrays.FIELDS)
-        )
-        self.ids = self.ids[:row] + self.ids[row + 1:]
-        self.filters = self.filters[:row] + self.filters[row + 1:]
+        if drone_id in self.state.ids:
+            self.state = self.state.without(drone_id)
 
     def _keep(self, ticks, rows: np.ndarray) -> None:
         """Keep the samples at `ticks`, one row of `values` each (one row may be 1-D),
         in the segment of the current membership."""
         if not self._segments or self._segments[-1][0] is not self.state:
-            ids = np.array(self.ids, dtype=np.int64)
-            self._segments.append((self.state, ids, []))
-        self._segments[-1][2].append(rows)
+            self._segments.append((self.state, []))
+        self._segments[-1][1].append(rows)
         self._ticks.extend(ticks)
         self._collisions.extend([self.medium.stats.collisions] * len(ticks))
 
@@ -218,10 +204,10 @@ class DroneSwarmEngine:
         agent row its id, theta, hidden, (x, y) position and (x, y) held
         command, then each sample's cumulative collision count."""
         counts, ids, theta, hidden, pos, vel = ([] for _ in range(6))
-        for _, seg_ids, blocks in self._segments:
-            rows, n = np.vstack(blocks), seg_ids.size
+        for swarm, blocks in self._segments:
+            rows, n = np.vstack(blocks), len(swarm.ids)
             counts.append(np.full(len(rows), n))
-            ids.append(np.tile(seg_ids, len(rows)))
+            ids.append(np.tile(np.array(swarm.ids, dtype=np.int64), len(rows)))
             theta.append(rows[:, 4 * n::2])
             hidden.append(rows[:, 4 * n + 1::2])
             pos.append(rows[:, :2 * n])
@@ -233,11 +219,11 @@ class DroneSwarmEngine:
         )
 
     def _nearest_centroid(self) -> int:
-        if not self.ids:
+        if not self.state.ids:
             raise ScenarioEventError("despawn of nearest_centroid with no agents alive")
         pos = self.state.pos
         centroid = np.mean(pos, axis=0)
-        return min(zip((float(np.linalg.norm(p - centroid)) for p in pos), self.ids))[1]
+        return min(zip((float(np.linalg.norm(p - centroid)) for p in pos), self.state.ids))[1]
 
     # -- stepping ------------------------------------------------------
 
@@ -248,7 +234,7 @@ class DroneSwarmEngine:
 
         try:
             for row, offset, theta in drone_mod.advance_clock(state, self.dt):
-                sender = self.ids[row]
+                sender = state.ids[row]
                 sent_at = t0 + offset
                 self.fire_log.append((sent_at, sender))
                 self.medium.broadcast(
@@ -262,14 +248,14 @@ class DroneSwarmEngine:
                 )
 
             for msg in self.medium.poll_deliveries(t1):
-                drone_mod.on_pulse_received(state, self.ids, self.filters, msg, self.cfg, self.rng)
+                drone_mod.on_pulse_received(state, msg, self.cfg, self.rng)
         except ValueError as exc:
             # `wrap_angle` refuses a non-finite phase before either kernel
             # writes its rows back, so the rows still show which drone.
             row = _first_bad_row(state)
             if row is None:
                 raise
-            raise NumericBlowup(self.tick + 1, self.ids[row]) from exc
+            raise NumericBlowup(self.tick + 1, state.ids[row]) from exc
 
         drone_mod.apply_motion(state, self.dt)
 
@@ -295,28 +281,27 @@ class DroneSwarmEngine:
         if not s.values.dot(s.values) < SQUARES_LIMIT:
             row = _first_bad_row(s)
             if row is not None:
-                raise NumericBlowup(self.tick, self.ids[row])
+                raise NumericBlowup(self.tick, s.ids[row])
 
     def _apply_event(self, event: ScenarioEvent) -> None:
         if event.kind == "spawn":
             self.add_drone(event.pos)
         else:
-            target = event.target
-            if target == "nearest_centroid":
-                target = self._nearest_centroid()
-            if not 0 <= int(target) < self._spawned:
+            target = (self._nearest_centroid() if event.target == "nearest_centroid"
+                      else int(event.target))
+            if not 0 <= target < self._spawned:
                 raise ScenarioEventError(
                     f"despawn at t={event.time} names unknown agent {target}"
                 )
-            if int(target) not in self.ids:
+            if target not in self.state.ids:
                 raise ScenarioEventError(
                     f"despawn at t={event.time} names agent {target}, which has left"
                 )
-            if self.ids == [int(target)]:
+            if self.state.ids == [target]:
                 raise ScenarioEventError(
                     f"despawn at t={event.time} of agent {target} would leave no drone alive"
                 )
-            self.despawn(int(target))
+            self.despawn(target)
 
     def run(self, duration: float, sample_every: int | None = None) -> None:
         """Step until the absolute simulation time `duration`.

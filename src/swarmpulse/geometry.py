@@ -31,10 +31,6 @@ COORD_LIMIT = math.sqrt(sys.float_info.max / 16.0)
 SQUARES_LIMIT = sys.float_info.max / 32.0
 
 
-class SingularityError(ValueError):
-    """Raised when a direction is requested between (near-)coincident points."""
-
-
 class NumericBlowup(RuntimeError):
     """A model's state stopped being finite; names the tick and the agent."""
 

@@ -145,7 +145,7 @@ def _row_rate(col: int) -> property:
 
 class DroneView:
     """Drone `drone_id` of `swarm`: an engine, or anything else with a
-    `state` and `ids` aligned with its rows.
+    `state`.
 
     The row is found by id on every access, so a view stays valid across
     spawns and despawns; a departed drone has no row (ValueError).
@@ -157,7 +157,7 @@ class DroneView:
         self.swarm, self.id = swarm, drone_id
 
     state = property(lambda self: self.swarm.state)
-    row = property(lambda self: self.swarm.ids.index(self.id))
+    row = property(lambda self: self.state.ids.index(self.id))
     pos = _row_vector("pos")
     command = _row_vector("command")
     theta = _row_phase(0)
@@ -168,7 +168,7 @@ class DroneView:
 
 def drones(swarm) -> list[DroneView]:
     """Views of the living drones of `swarm`, in row order."""
-    return [DroneView(swarm, i) for i in swarm.ids]
+    return [DroneView(swarm, i) for i in swarm.state.ids]
 
 
 def hearers(monkeypatch) -> list[tuple[int, int]]:
@@ -176,17 +176,17 @@ def hearers(monkeypatch) -> list[tuple[int, int]]:
 
     The receivers are read from outside `drone.on_pulse_received`: the
     filters whose `push` ran during a call, mapped back to ids through
-    the `filters` it was given. Every drone must smooth with an
+    the swarm it was given. Every drone must smooth with an
     `IdentityFilter`.
     """
     log, pushed = [], []
     push, receive = IdentityFilter.push, drone.on_pulse_received
     monkeypatch.setattr(IdentityFilter, "push", lambda f, x: pushed.append(f) or push(f, x))
 
-    def spy(state, ids, filters, msg, *args):
+    def spy(state, msg, *args):
         pushed.clear()
-        receive(state, ids, filters, msg, *args)
-        owner = {id(f): i for i, f in zip(ids, filters)}
+        receive(state, msg, *args)
+        owner = {id(f): i for i, f in zip(state.ids, state.filters)}
         log.extend((owner[id(f)], msg.sender) for f in pushed)
 
     monkeypatch.setattr(drone, "on_pulse_received", spy)

@@ -381,11 +381,11 @@ class TestCli:
                        "scenario.formation = ring\nseed = 2\nduration = 1.0\n")
         receive, calls = drone.on_pulse_received, []
 
-        def poisoned(state, ids, filters, msg, *args):
+        def poisoned(state, msg, *args):
             if not calls:
-                state.phases[ids.index(1), 0] = math.nan
+                state.phases[state.ids.index(1), 0] = math.nan
             calls.append(msg)
-            return receive(state, ids, filters, msg, *args)
+            return receive(state, msg, *args)
 
         monkeypatch.setattr(drone, "on_pulse_received", poisoned)
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3

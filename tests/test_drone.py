@@ -38,14 +38,14 @@ TABLE = drone_cfg(drone_b=3.0)
 def drone(drone_id=0, pos=(0.0, 0.0), theta=0.0, hidden=0.0, omega=TAU, hidden_omega=TAU,
           smoother=None):
     """A lone drone on a one-row state of its own."""
-    state = DroneArrays([pos], [(0.0, 0.0)], [(theta, hidden)], [(omega, hidden_omega)])
-    swarm = SimpleNamespace(state=state, ids=[drone_id], filters=[smoother or IdentityFilter()])
-    return DroneView(swarm, drone_id)
+    state = DroneArrays([drone_id], [smoother or IdentityFilter()], [pos], [(0.0, 0.0)],
+                        [(theta, hidden)], [(omega, hidden_omega)])
+    return DroneView(SimpleNamespace(state=state), drone_id)
 
 
 def hear(me, msg, cfg):
     """`me`'s swarm hears `msg`."""
-    on_pulse_received(me.state, me.swarm.ids, me.swarm.filters, msg, cfg)
+    on_pulse_received(me.state, msg, cfg, seeded_rng(0))
 
 
 def pulse_from(sender, pos, theta, sent_at=0.0, hidden=None):
@@ -85,13 +85,14 @@ class TestPulseResponse:
     def test_own_pulse_not_heard(self):
         # Rows are drones 2, 3 and 7. Drone 3 sends from where it stands,
         # so serving its row would also draw from the RNG.
-        state = DroneArrays([(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)], [(0.0, 0.0)] * 3,
-                            [(0.5, 1.0), (0.3, 2.0), (0.1, 3.0)], [(TAU, TAU)] * 3)
-        ids, filters = [2, 3, 7], [make_filter("moving_average", 2, 0.8) for _ in range(3)]
+        filters = [make_filter("moving_average", 2, 0.8) for _ in range(3)]
+        state = DroneArrays([2, 3, 7], filters, [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)],
+                            [(0.0, 0.0)] * 3, [(0.5, 1.0), (0.3, 2.0), (0.1, 3.0)],
+                            [(TAU, TAU)] * 3)
         rng = seeded_rng(4)
         before = {f: getattr(state, f).copy() for f in DroneArrays.FIELDS}
         rng_before = rng.bit_generator.state
-        on_pulse_received(state, ids, filters, pulse_from(3, (0.0, 0.0), 1.0), TABLE, rng)
+        on_pulse_received(state, pulse_from(3, (0.0, 0.0), 1.0), TABLE, rng)
         for f in DroneArrays.FIELDS:
             assert getattr(state, f)[1].tobytes() == before[f][1].tobytes()
         assert not filters[1]._buf
@@ -266,21 +267,24 @@ class TestEngineInvariants:
         for unknown in (-1, 5):
             with pytest.raises(KeyError):
                 eng.despawn(unknown)
-        assert eng.ids == [1, 3, 4] and eng.state.pos.shape == (3, 2)
+        assert eng.state.ids == [1, 3, 4] and eng.state.pos.shape == (3, 2)
 
     @pytest.mark.parametrize("change", ["spawn", "despawn"])
     def test_membership_change_rebinds_and_does_not_mutate(self, change):
         eng = build_engine(seed=3, n=3)
         eng.run(1.0)
-        state, ids, filters = eng.state, eng.ids, eng.filters
+        state, ids, filters = eng.state, eng.state.ids, eng.state.filters
         kept = (state.values.tobytes(), state.rates.tobytes(), list(ids), list(filters))
         if change == "spawn":
             eng.add_drone((0.5, 0.5))
         else:
             eng.despawn(1)
-        assert (state.values.tobytes(), state.rates.tobytes(), ids, filters) == kept
-        assert eng.state is not state and eng.ids is not ids and eng.filters is not filters
-        assert eng.ids == ([0, 1, 2, 3] if change == "spawn" else [0, 2])
+        # The old swarm is untouched, down to its lists.
+        assert (state.values.tobytes(), state.rates.tobytes(), state.ids, state.filters) == kept
+        assert state.ids is ids and state.filters is filters
+        assert eng.state is not state
+        assert eng.state.ids is not ids and eng.state.filters is not filters
+        assert eng.state.ids == ([0, 1, 2, 3] if change == "spawn" else [0, 2])
 
     def test_uncoupled_spawned_drone_keeps_offset(self):
         eng = build_engine(n=3, drone_k_visible=0.0)
@@ -403,7 +407,7 @@ class TestEvents:
         events = [ScenarioEvent(time=2.0, kind="despawn", target=1)]
         eng = build_engine(seed=3, n=3, events=events)
         eng.run(6.0)
-        assert eng.ids == [0, 2]
+        assert eng.state.ids == [0, 2]
         late_fires = [s for t, s in eng.fire_log if t > 2.0 + eng.dt]
         assert 1 not in late_fires
 
@@ -413,13 +417,13 @@ class TestEvents:
         eng = build_engine(n=5, positions=positions, events=events, drone_k_visible=0.0,
                            drone_k_hidden=0.0)
         eng.run(1.5)
-        assert eng.ids == [0, 1, 2, 3]
+        assert eng.state.ids == [0, 1, 2, 3]
 
     def test_spawn_event_adds_listening_drone(self):
         events = [ScenarioEvent(time=1.0, kind="spawn", pos=np.array([2.0, 0.0]))]
         eng = build_engine(seed=4, n=2, events=events)
         eng.run(4.0)
-        assert eng.ids == [0, 1, 2]
+        assert eng.state.ids == [0, 1, 2]
         assert any(s == 2 for _, s in eng.fire_log)
 
     def test_blowup_detected_and_named(self):
@@ -496,10 +500,10 @@ class TestHandleWrites:
     def test_despawn_keeps_the_other_rows(self):
         eng = build_engine(seed=3, n=3)
         eng.run(1.0)
-        state, filters = eng.state, eng.filters
+        state, filters = eng.state, eng.state.filters
         eng.despawn(1)
-        assert eng.ids == [0, 2]
-        assert all(a is b for a, b in zip(eng.filters, filters[::2], strict=True))
+        assert eng.state.ids == [0, 2]
+        assert all(a is b for a, b in zip(eng.state.filters, filters[::2], strict=True))
         for f in DroneArrays.FIELDS:
             assert getattr(eng.state, f).tobytes() == getattr(state, f)[[0, 2]].tobytes()
 
@@ -527,7 +531,7 @@ class TestOverflow:
     def test_non_finite_state_named_at_next_tick(self, field, col, value, agent):
         eng = build_engine(seed=2, n=4)
         eng.run(0.5)
-        getattr(eng.state, field)[eng.ids.index(agent), col] = value
+        getattr(eng.state, field)[eng.state.ids.index(agent), col] = value
         with pytest.raises(NumericBlowup) as exc:
             eng.run(1.0)
         assert (exc.value.tick, exc.value.agent_id) == (101, agent)
@@ -540,7 +544,7 @@ class TestOverflow:
                            + "scenario.n = 4\nscenario.formation = ring\nseed = 2\n")
         eng = build_drone_engine(cfg)
         eng.run(55 * eng.dt)
-        eng.state.phases[eng.ids.index(agent), col] = math.nan
+        eng.state.phases[eng.state.ids.index(agent), col] = math.nan
         with pytest.raises(NumericBlowup) as exc:
             eng.step()
         assert (exc.value.tick, exc.value.agent_id) == (56, agent)
@@ -550,7 +554,7 @@ class TestOverflow:
         eng.run(1.0)
         for d in drones(eng):
             d.hidden = TAU - d.hidden_omega * eng.dt / 2  # every drone fires next tick
-        eng.state.phases[eng.ids.index(2), 0] = math.nan
+        eng.state.phases[eng.state.ids.index(2), 0] = math.nan
         with pytest.raises(NumericBlowup) as exc:
             eng.step()
         assert (exc.value.tick, exc.value.agent_id) == (201, 2)
@@ -663,7 +667,7 @@ def step_by_step(eng, duration, sample_every=1, log=()):
     log = list(log)
 
     def sample():
-        log.append((eng.t, eng.state.values.tobytes(), eng.ids,
+        log.append((eng.t, eng.state.values.tobytes(), eng.state.ids,
                     eng.medium.stats.collisions))
 
     total = int(round(duration / eng.dt))

@@ -186,14 +186,14 @@ def test_variant_reaches_its_path(name, monkeypatch):
         *rest, spawned = drones(engine)
         assert any(math.dist(d.pos, spawned.pos) == 0.0 for d in rest)
         engine.run(cfg.duration)
-        assert fallbacks and len(engine.ids) == len(alive)
+        assert fallbacks and len(engine.state.ids) == len(alive)
     elif name == "churn_in_flight":
         for event in cfg.events:
             engine.run(event.time)
             pending = [s for t, s in engine.fire_log if t + cfg.medium_airtime > event.time]
             assert engine.medium.in_flight() == len(pending) > 0
         # The despawned drone 6 has a pulse of its own still in flight.
-        assert 6 in pending and 6 not in engine.ids
+        assert 6 in pending and 6 not in engine.state.ids
     elif name == "slow_clocks":
         rates = [r for d in alive for r in (d.omega, d.hidden_omega)]
         assert min(rates) > 0.0 and len(set(rates)) == len(rates)

@@ -15,24 +15,15 @@ from hypothesis import strategies as st
 
 from swarmpulse.config import ScenarioConfig
 from swarmpulse.drone import DroneArrays, on_pulse_received
-from swarmpulse.geometry import (
-    EPSILON_DIST,
-    TAU,
-    SingularityError,
-    random_unit,
-    seeded_rng,
-    wrap_angle,
-)
+from swarmpulse.geometry import EPSILON_DIST, TAU, random_unit, seeded_rng, wrap_angle
 from swarmpulse.medium import PulseMessage
 from swarmpulse.smoothing import ExponentialFilter, MovingAverageFilter, make_filter
 
 
-def reference_movement_command(delta, phase_diff, cfg, rng=None):
+def reference_movement_command(delta, phase_diff, cfg, rng):
     dx, dy = delta
     d = math.hypot(dx, dy)
     if d <= EPSILON_DIST:
-        if rng is None:
-            raise SingularityError("coincident drones and no RNG for fallback")
         ux, uy = random_unit(rng).tolist()
         d = EPSILON_DIST
     else:
@@ -42,7 +33,7 @@ def reference_movement_command(delta, phase_diff, cfg, rng=None):
     return ux * scale, uy * scale
 
 
-def reference_receive(state, row, smoother, msg, cfg, rng=None):
+def reference_receive(state, row, smoother, msg, cfg, rng):
     """The per-recipient reception: one drone, one pulse, one call."""
     phases = state.phases
     theta, hidden = phases[row].tolist()
@@ -121,37 +112,38 @@ def deliveries(draw):
     return cfg, ids, pos, phases, commands, msgs, draw(smoothing), draw(st.integers(0, 2**32))
 
 
-def swarm(pos, phases, commands, mode):
-    state = DroneArrays(pos, commands, phases, [(TAU, TAU)] * len(pos))
-    return state, [make_filter(*mode) for _ in pos]
+def swarm(ids, pos, phases, commands, mode):
+    filters = [make_filter(*mode) for _ in pos]
+    return DroneArrays(ids, filters, pos, commands, phases, [(TAU, TAU)] * len(pos))
 
 
 @settings(max_examples=300, deadline=None)
 @given(deliveries())
 def test_one_call_per_delivery_equals_one_call_per_recipient(case):
     cfg, ids, pos, phases, commands, msgs, mode, seed = case
-    ref_state, ref_filters = swarm(pos, phases, commands, mode)
-    new_state, new_filters = swarm(pos, phases, commands, mode)
+    ref_state = swarm(ids, pos, phases, commands, mode)
+    new_state = swarm(ids, pos, phases, commands, mode)
     ref_rng, new_rng = seeded_rng(seed), seeded_rng(seed)
     # Give every filter some history before the deliveries.
-    for f in ref_filters + new_filters:
+    for f in ref_state.filters + new_state.filters:
         f.push((0.25, -0.125))
 
     for msg in msgs:
-        for row, (drone_id, f) in enumerate(zip(ids, ref_filters)):
+        for row, (drone_id, f) in enumerate(zip(ids, ref_state.filters)):
             if drone_id != msg.sender:
                 reference_receive(ref_state, row, f, msg, cfg, ref_rng)
-        on_pulse_received(new_state, ids, new_filters, msg, cfg, new_rng)
+        on_pulse_received(new_state, msg, cfg, new_rng)
 
     assert new_state.values.tobytes() == ref_state.values.tobytes()
-    assert [filter_state(f) for f in new_filters] == [filter_state(f) for f in ref_filters]
+    assert ([filter_state(f) for f in new_state.filters]
+            == [filter_state(f) for f in ref_state.filters])
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_no_recipients_changes_nothing():
     # The only row is the sender's.
-    state, filters = swarm([(0.0, 0.0)], [(1.0, 2.0)], [(0.5, 0.5)], ("none", 10, 0.8))
+    state = swarm([0], [(0.0, 0.0)], [(1.0, 2.0)], [(0.5, 0.5)], ("none", 10, 0.8))
     before = state.values.copy()
-    on_pulse_received(state, [0], filters, PulseMessage(0, (1.0, 0.0), 0.0, 0.0),
-                      ScenarioConfig())
+    on_pulse_received(state, PulseMessage(0, (1.0, 0.0), 0.0, 0.0), ScenarioConfig(),
+                      seeded_rng(0))
     assert np.array_equal(state.values, before)
