@@ -133,10 +133,19 @@ _ALIASES = {
     "drone.hidden_phase_in_payload": "drone_hidden_in_payload",
 }
 # `Field.type` is the annotation's text: this module postpones annotations.
-_PARSERS = {"float": float, "int": int, "str": str, "str | None": str, "bool": _bool}
-# Every key but `scenario.events`: key -> (field name, value parser).
+# Each declared type -> (value parser, the types an in-code value may
+# have, named); a bool is no number here.
+_TYPES = {
+    "float": (float, numbers.Real, "a real number"),
+    "int": (int, numbers.Integral, "an integer"),
+    "str": (str, str, "a string"),
+    "str | None": (str, (str, type(None)), "a string or None"),
+    "bool": (_bool, bool, "true or false"),
+}
+# Every key but `scenario.events`: key -> (field name, value parser,
+# value types, their name).
 _KEYS = {
-    key: (f.name, _PARSERS[f.type])
+    key: (f.name, *_TYPES[f.type])
     for f in fields(ScenarioConfig)
     if f.name != "events"
     for key in [alias for alias, name in _ALIASES.items() if name == f.name]
@@ -183,7 +192,7 @@ def parse_config(text: str) -> ScenarioConfig:
             if key == "scenario.events":
                 cfg.events.append(_parse_event(value))
             elif key in _KEYS:
-                name, parse = _KEYS[key]
+                name, parse, *_ = _KEYS[key]
                 parsed = parse(value)
                 if parse is float and not math.isfinite(parsed):
                     raise ValueError(f"{key} must be finite, got {value!r}")
@@ -199,16 +208,22 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
+def _typed(value, kind) -> bool:
+    """Whether `value` is of `kind`, a bool counting only as a bool."""
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+
+
 def _is_point(pos) -> bool:
     """Whether `pos` is a sequence of two real numbers."""
     return (isinstance(pos, (tuple, list, np.ndarray)) and getattr(pos, "ndim", 1) == 1
-            and len(pos) == 2 and all(isinstance(c, numbers.Real) for c in pos))
+            and len(pos) == 2 and all(_typed(c, numbers.Real) for c in pos))
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    """The one check of a config's values and events, made by
+    """The one check of a config's types, values and events, made by
     `parse_config` and by `runner.run_config` before every run; no model
-    layer checks them again. Raises ConfigError listing every problem."""
+    layer checks them again. Raises ConfigError listing every problem,
+    or every wrong type before any value is read."""
     problems: list[tuple[int | None, str]] = []
 
     def bad(msg: str) -> None:
@@ -217,9 +232,20 @@ def validate_config(cfg: ScenarioConfig) -> None:
     def value(key: str):
         return getattr(cfg, _KEYS[key][0])
 
+    mistyped = set()
+    for key, (name, _, kind, what) in _KEYS.items():
+        if name not in mistyped and not _typed(getattr(cfg, name), kind):
+            mistyped.add(name)
+            bad(f"{key} must be {what}, got {getattr(cfg, name)!r}")
+    for ev in cfg.events:
+        if not _typed(ev.time, numbers.Real):
+            bad(f"event time must be a real number, got {ev.time!r}")
+    if problems:
+        raise ConfigError(problems)
+
     if cfg.model not in MODELS:
         bad(f"model must be one of {MODELS}, got {cfg.model!r}")
-    for key, (name, parse) in _KEYS.items():
+    for key, (name, parse, *_) in _KEYS.items():
         if parse is float and not math.isfinite(getattr(cfg, name)):
             bad(f"{key} must be finite, got {getattr(cfg, name)}")
     for key in ("duration", "dt", "trace_rate", "pulse.rate", "ref.a", "ref.b", "drone.a",
@@ -288,7 +314,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
                 bad(f"spawn at t={ev.time}: position {tuple(ev.pos)} must have every "
                     f"coordinate below {COORD_LIMIT:.3g} in magnitude")
         elif ev.kind == "despawn":
-            if not (ev.target == "nearest_centroid" or isinstance(ev.target, numbers.Integral)):
+            if not (ev.target == "nearest_centroid" or _typed(ev.target, numbers.Integral)):
                 bad(f"despawn at t={ev.time} needs an agent id or 'nearest_centroid', "
                     f"got {ev.target!r}")
         else:

@@ -130,6 +130,8 @@ class TestParsing:
             (ScenarioEvent(0.5, "despawn"), "needs an agent id or 'nearest_centroid'"),
             (ScenarioEvent(0.5, "despawn", target="first"), "needs an agent id"),
             (ScenarioEvent(0.5, "despawn", target=1.0), "needs an agent id"),
+            (ScenarioEvent(0.5, "despawn", target=True), "needs an agent id"),
+            (ScenarioEvent(0.5, "spawn", pos=(True, 0.0)), "needs a position of two"),
         ],
     )
     def test_in_code_event_of_bad_shape_rejected_naming_time(self, tmp_path, event, named):

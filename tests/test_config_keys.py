@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from swarmpulse.config import ConfigError, ScenarioConfig, parse_config, validate_config
-from swarmpulse.engine import NumericBlowup, ScenarioEventError
+from swarmpulse.engine import NumericBlowup, ScenarioEvent, ScenarioEventError
 from swarmpulse.runner import run_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -127,6 +127,26 @@ def test_run_config_refuses_an_in_code_config_writing_nothing(tmp_path, fields, 
     with pytest.raises(ConfigError, match=named):
         run_config(cfg, out_dir=str(tmp_path), write=True)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"n": "3"}, "scenario.n must be an integer, got '3'"),
+        ({"dt": "0.01"}, "dt must be a real number, got '0.01'"),
+        ({"events": [ScenarioEvent(time=None, kind="spawn", pos=(0.0, 0.0))]},
+         "event time must be a real number, got None"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"smoothing_window": 2.5}, "smoothing.window must be an integer, got 2.5"),
+        ({"drone_hidden_in_payload": "yes"},
+         "drone.hidden_phase_in_payload must be true or false, got 'yes'"),
+    ],
+)
+def test_run_config_refuses_an_in_code_field_of_the_wrong_type(fields, named):
+    # Config text parses each key by its type; only code can set another.
+    with pytest.raises(ConfigError, match=re.escape(named)) as exc:
+        run_config(ScenarioConfig(duration=0.5, **fields), write=False)
+    assert len(exc.value.problems) == 1
 
 
 UNKNOWN = sorted(

@@ -111,6 +111,13 @@ def digests(base: Path) -> dict[str, str]:
     return {f: hashlib.sha256((base / f).read_bytes()).hexdigest() for f in FILES}
 
 
+def moved(name: str, got: dict[str, str], pinned: dict[str, str]) -> str:
+    """A pin failure's message: the files whose digest moved, then every
+    new digest of run `name`."""
+    files = ", ".join(f for f in FILES if got[f] != pinned.get(f))
+    return f"{name} output changed in {files}; new digests:\n" + json.dumps({name: got}, indent=2)
+
+
 def test_every_bundled_scenario_is_pinned():
     assert sorted(GOLDEN) == sorted(SCENARIO_NAMES)
 
@@ -119,10 +126,7 @@ def test_every_bundled_scenario_is_pinned():
 def test_bundled_outputs_match_pins(name, tmp_path):
     run_config(parse_config(scenario_text(name)), name=name, out_dir=str(tmp_path))
     got = digests(tmp_path / name)
-    assert got == GOLDEN[name], (
-        f"{name} output changed; new digests:\n"
-        + json.dumps({name: got}, indent=2)
-    )
+    assert got == GOLDEN[name], moved(name, got, GOLDEN[name])
 
 
 def test_every_variant_is_pinned():
@@ -133,10 +137,7 @@ def test_every_variant_is_pinned():
 def test_variant_outputs_match_pins(name, tmp_path):
     run_config(parse_config(variant_text(name)), name=name, out_dir=str(tmp_path))
     got = digests(tmp_path / name)
-    assert got == GOLDEN_VARIANTS[name], (
-        f"variant {name} output changed; new digests:\n"
-        + json.dumps({name: got}, indent=2)
-    )
+    assert got == GOLDEN_VARIANTS[name], moved(name, got, GOLDEN_VARIANTS[name])
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
