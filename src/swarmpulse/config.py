@@ -237,9 +237,13 @@ def validate_config(cfg: ScenarioConfig) -> None:
         if name not in mistyped and not _typed(getattr(cfg, name), kind):
             mistyped.add(name)
             bad(f"{key} must be {what}, got {getattr(cfg, name)!r}")
-    for ev in cfg.events:
-        if not _typed(ev.time, numbers.Real):
-            bad(f"event time must be a real number, got {ev.time!r}")
+    events = cfg.events
+    if not (isinstance(events, list) and all(isinstance(ev, ScenarioEvent) for ev in events)):
+        bad(f"scenario.events must be a list of ScenarioEvent, got {events!r}")
+    else:
+        for ev in events:
+            if not _typed(ev.time, numbers.Real):
+                bad(f"event time must be a real number, got {ev.time!r}")
     if problems:
         raise ConfigError(problems)
 

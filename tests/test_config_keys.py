@@ -140,6 +140,8 @@ def test_run_config_refuses_an_in_code_config_writing_nothing(tmp_path, fields, 
         ({"smoothing_window": 2.5}, "smoothing.window must be an integer, got 2.5"),
         ({"drone_hidden_in_payload": "yes"},
          "drone.hidden_phase_in_payload must be true or false, got 'yes'"),
+        ({"events": None}, "scenario.events must be a list of ScenarioEvent, got None"),
+        ({"events": [(0.5, "spawn", (0.0, 0.0))]}, "scenario.events must be a list of"),
     ],
 )
 def test_run_config_refuses_an_in_code_field_of_the_wrong_type(fields, named):
