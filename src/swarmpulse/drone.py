@@ -47,10 +47,12 @@ constants are the run's `drone.*` keys, read from its `ScenarioConfig`.
 
 The swarm is one `DroneArrays`, and a drone is one row of it: its id,
 its smoothing filter (which takes and returns (x, y) pairs), position,
-held command, (theta, hidden) and (omega, hidden_omega). The clock and
-motion kernels, `advance_clock` and `apply_motion`, step every row at
-once. A spawn or a despawn builds the next swarm (`joined`, `without`)
-and leaves the current one as it was. `on_pulse_received` serves every
+held command, (theta, hidden) and (omega, hidden_omega). A swarm is
+built for the run's dt, so its rates and their per-tick steps are fixed
+with it. The clock and motion kernels, `advance_clock` and
+`apply_motion`, step every row at once by that dt. A spawn or a despawn
+builds the next swarm (`joined`, `without`) and leaves the current one
+as it was. `on_pulse_received` serves every
 row that hears one pulse in one call: it reads the rows once as Python
 floats, updates each in turn, and writes the rows back once.
 """
@@ -79,17 +81,17 @@ class DroneArrays:
     `rates` is (n, 2) holding (omega, hidden_omega). `pos`, `command`
     and `phases` are consecutive views of one buffer, `values`, so a
     single reduction can check all three. Every kernel updates them in
-    place; membership never changes in place. `rate_dt`, the rates
-    times dt, and `top_rate`, its largest entry, are cached by
-    `advance_clock` for the dt in `rate_dt_of`; whoever writes `rates`
-    sets `rate_dt` back to None. `top`, the largest raw phase of the
-    last clock step, and `top_rate` bound the ticks to the next wrap.
+    place; membership and rates never change in place. A swarm is built
+    for the run's tick `dt`, and fixes with its rates `rate_dt`, the
+    rates times dt, `top_rate`, its largest entry, and `negative_rates`.
+    `top`, the largest raw phase of the last clock step (inf before
+    one), and `top_rate` bound the ticks to the next wrap.
     """
 
     FIELDS = ("pos", "command", "phases", "rates")
 
-    def __init__(self, ids: list[int], filters: list, pos, command, phases, rates):
-        self.ids, self.filters = ids, filters
+    def __init__(self, ids: list[int], filters: list, pos, command, phases, rates, dt: float):
+        self.ids, self.filters, self.dt = ids, filters, dt
         self.values = np.concatenate(
             [np.asarray(x, dtype=np.float64).reshape(-1) for x in (pos, command, phases)]
         )
@@ -97,17 +99,16 @@ class DroneArrays:
             v.reshape(-1, 2) for v in np.split(self.values, 3)
         )
         self.rates = np.array(rates, dtype=np.float64).reshape(-1, 2)
-        self.rate_dt: np.ndarray | None = None
-        self.rate_dt_of = 0.0
-        self.negative_rates = False
-        self.top_rate, self.top = 0.0, math.inf
+        self.rate_dt = self.rates * dt
+        self.negative_rates = bool((self.rates < 0.0).any())
+        self.top_rate, self.top = float(self.rate_dt.max(initial=0.0)), math.inf
 
     def joined(self, drone_id: int, smoother, pos, phases, rates) -> DroneArrays:
         """This swarm with drone `drone_id` at rest as its last row."""
         row = (pos, (0.0, 0.0), phases, rates)
         return DroneArrays(
             [*self.ids, drone_id], [*self.filters, smoother],
-            *(np.vstack([getattr(self, f), x]) for f, x in zip(self.FIELDS, row)),
+            *(np.vstack([getattr(self, f), x]) for f, x in zip(self.FIELDS, row)), self.dt,
         )
 
     def without(self, drone_id: int) -> DroneArrays:
@@ -115,7 +116,7 @@ class DroneArrays:
         row = self.ids.index(drone_id)
         return DroneArrays(
             self.ids[:row] + self.ids[row + 1:], self.filters[:row] + self.filters[row + 1:],
-            *(np.delete(getattr(self, f), row, axis=0) for f in self.FIELDS),
+            *(np.delete(getattr(self, f), row, axis=0) for f in self.FIELDS), self.dt,
         )
 
 
@@ -188,8 +189,8 @@ def on_pulse_received(
     state.values[m:] = command + phases
 
 
-def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, float, float]]:
-    """Advance every row's phases by dt at their natural rates.
+def advance_clock(state: DroneArrays) -> list[tuple[int, float, float]]:
+    """Advance every row's phases by the swarm's dt at their natural rates.
 
     Returns (row, offset, theta) for every hidden-phase wrap inside the
     step, rows ascending: `offset` is the exact crossing instant in
@@ -197,10 +198,6 @@ def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, float, float
     interpolated to that instant. A row whose hidden rate is not
     positive never reaches 2*pi from below, so never fires.
     """
-    if state.rate_dt is None or state.rate_dt_of != dt:
-        state.rate_dt, state.rate_dt_of = state.rates * dt, dt
-        state.negative_rates = bool((state.rates < 0.0).any())
-        state.top_rate = float(state.rate_dt.max(initial=0.0))
     phases = state.phases
     raw = phases + state.rate_dt
     due: list[tuple[int, float, float]] = []
@@ -224,6 +221,6 @@ def advance_clock(state: DroneArrays, dt: float) -> list[tuple[int, float, float
     return due
 
 
-def apply_motion(state: DroneArrays, dt: float) -> None:
-    """Integrate every row's held velocity over dt."""
-    state.pos += state.command * dt
+def apply_motion(state: DroneArrays) -> None:
+    """Integrate every row's held velocity over the swarm's dt."""
+    state.pos += state.command * state.dt

@@ -32,13 +32,14 @@ Drones get ids in spawn order, 0 first, and no id is ever reused.
 The swarm is one object, `state`, a `drone.DroneArrays`, and a living
 drone is one row of it, in ascending id order: its id and smoothing
 filter beside `pos` and `command` (n, 2), `phases` (n, 2) as
-(theta, hidden) and `rates` (n, 2) as (omega, hidden_omega). A departed
-drone leaves no trace. A membership change binds `state` to a new
-swarm and never mutates the old one, so whoever holds it sees the swarm
-as it was. Steps 1 and 3 are one array kernel each per tick
-(`drone.advance_clock`, `drone.apply_motion`); step 2 is one
-`drone.on_pulse_received` call per delivered pulse, which serves every
-row but the sender's. Every value is computed by the same floating-point
+(theta, hidden) and `rates` (n, 2) as (omega, hidden_omega). Every
+swarm is built for the run's dt, which fixes its per-tick phase steps
+`rate_dt` with its rates. A departed drone leaves no trace. A
+membership change binds `state` to a new swarm and never mutates the
+old one, so whoever holds it sees the swarm as it was. Steps 1 and 3
+are one array kernel each per tick (`drone.advance_clock`,
+`drone.apply_motion`); step 2 is one `drone.on_pulse_received` call
+per delivered pulse, which serves every row but the sender's. Every value is computed by the same floating-point
 operations in the same order as a per-drone loop would, so the layout
 changes no output bit.
 
@@ -147,7 +148,7 @@ class DroneSwarmEngine:
         self.medium = BroadcastMedium(cfg.medium_airtime, cfg.medium_collision_policy)
         self.rng = seeded_rng(cfg.seed)
         self.events = sorted(cfg.events, key=lambda e: e.time)
-        self.state = DroneArrays([], [], [], [], [], [])
+        self.state = DroneArrays([], [], [], [], [], [], cfg.dt)
         self._spawned = 0
         self.tick = 0
         self.fire_log: list[tuple[float, int]] = []
@@ -233,7 +234,7 @@ class DroneSwarmEngine:
         state = self.state
 
         try:
-            for row, offset, theta in drone_mod.advance_clock(state, self.dt):
+            for row, offset, theta in drone_mod.advance_clock(state):
                 sender = state.ids[row]
                 sent_at = t0 + offset
                 self.fire_log.append((sent_at, sender))
@@ -257,7 +258,7 @@ class DroneSwarmEngine:
                 raise
             raise NumericBlowup(self.tick + 1, state.ids[row]) from exc
 
-        drone_mod.apply_motion(state, self.dt)
+        drone_mod.apply_motion(state)
 
         self.tick += 1
         while (
@@ -342,7 +343,7 @@ class DroneSwarmEngine:
         that ends the scan is left to `step()`."""
         s, tick = self.state, self.tick
         limit = total_ticks - tick
-        if limit < MIN_GLIDE or s.rate_dt is None or s.negative_rates or not s.values.size:
+        if limit < MIN_GLIDE or s.negative_rates or not s.values.size:
             return
         # Ticks before the largest raw phase of the last step could wrap
         # at the fastest rate: a bound on the work only, which a kick, a

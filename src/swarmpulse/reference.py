@@ -47,7 +47,7 @@ if TYPE_CHECKING:
     from .config import ScenarioConfig
 
 
-def _kernel(cfg: ScenarioConfig, omega: np.ndarray, rng: np.random.Generator | None,
+def _kernel(cfg: ScenarioConfig, omega: np.ndarray, rng: np.random.Generator,
             state: np.ndarray):
     """The rates function of one run: it fills its (3, N) rates from
     `state` and returns them. Its argument says every coordinate is below
@@ -70,10 +70,6 @@ def _kernel(cfg: ScenarioConfig, omega: np.ndarray, rng: np.random.Generator | N
         dist_diagonal[:] = 1.0
         # fmin skips NaN, so a NaN distance cannot hide a near pair.
         if np.fmin.reduce(dist, axis=None) <= EPSILON_DIST:
-            if rng is None:
-                raise ValueError(
-                    "coincident agents and no RNG provided for the direction fallback"
-                )
             # An antisymmetric random direction per coincident pair, drawn
             # in row-major order, with the distance held at the floor.
             for p, q in zip(*np.nonzero(np.triu(dist <= EPSILON_DIST))):
@@ -102,10 +98,7 @@ def _kernel(cfg: ScenarioConfig, omega: np.ndarray, rng: np.random.Generator | N
 
 
 def velocities(
-    pos: np.ndarray,
-    theta: np.ndarray,
-    cfg: ScenarioConfig,
-    rng: np.random.Generator | None = None,
+    pos: np.ndarray, theta: np.ndarray, cfg: ScenarioConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-agent velocity field of the spatial dynamics."""
     return _kernel(cfg, np.zeros(len(pos)), rng, np.array((*pos.T, theta)))(False)[:2].T
@@ -116,7 +109,7 @@ def step_positions(
     theta: np.ndarray,
     cfg: ScenarioConfig,
     dt: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Euler step of the spatial dynamics.
 
@@ -133,7 +126,7 @@ def step_phases(
     omega: np.ndarray,
     cfg: ScenarioConfig,
     dt: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """One Euler step of the phase dynamics; result wrapped to [0, 2*pi)."""
     state = np.array((*pos.T, theta))

@@ -137,8 +137,12 @@ def _row_rate(col: int) -> property:
         return self.state.rates.item(self.row, col)
 
     def set(self, value: float) -> None:
-        self.state.rates[self.row, col] = value
-        self.state.rate_dt = None
+        s = self.state
+        rates = s.rates.copy()
+        rates[self.row, col] = value
+        self.swarm.state = drone.DroneArrays(
+            s.ids, s.filters, s.pos, s.command, s.phases, rates, s.dt
+        )
 
     return property(get, set)
 
@@ -149,8 +153,9 @@ class DroneView:
 
     The row is found by id on every access, so a view stays valid across
     spawns and despawns; a departed drone has no row (ValueError).
-    Vectors read as copies, a written phase is wrapped into [0, 2*pi),
-    and a written rate clears the state's `rate_dt` cache.
+    Vectors read as copies, and a written phase is wrapped into
+    [0, 2*pi). A swarm's rates are fixed when it is built, so a written
+    rate binds `swarm.state` to a copy of the swarm with the new rate.
     """
 
     def __init__(self, swarm, drone_id: int):

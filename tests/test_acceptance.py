@@ -357,8 +357,8 @@ def test_c10_equilibrium_cross_check():
     theta = np.array([0.8, 0.8])
     omega = np.zeros(2)
     for _ in range(1000):
-        new_pos, _ = step_positions(pos, theta, ref, 0.01)
-        theta = step_phases(pos, theta, omega, ref, 0.01)
+        new_pos, _ = step_positions(pos, theta, ref, 0.01, seeded_rng(0))
+        theta = step_phases(pos, theta, omega, ref, 0.01, seeded_rng(0))
         pos = new_pos
     ref_drift = float(np.max(np.abs(pos - start)))
 

@@ -36,10 +36,10 @@ TABLE = drone_cfg(drone_b=3.0)
 
 
 def drone(drone_id=0, pos=(0.0, 0.0), theta=0.0, hidden=0.0, omega=TAU, hidden_omega=TAU,
-          smoother=None):
-    """A lone drone on a one-row state of its own."""
+          smoother=None, dt=0.01):
+    """A lone drone on a one-row state of its own, stepped by `dt`."""
     state = DroneArrays([drone_id], [smoother or IdentityFilter()], [pos], [(0.0, 0.0)],
-                        [(theta, hidden)], [(omega, hidden_omega)])
+                        [(theta, hidden)], [(omega, hidden_omega)], dt)
     return DroneView(SimpleNamespace(state=state), drone_id)
 
 
@@ -88,7 +88,7 @@ class TestPulseResponse:
         filters = [make_filter("moving_average", 2, 0.8) for _ in range(3)]
         state = DroneArrays([2, 3, 7], filters, [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)],
                             [(0.0, 0.0)] * 3, [(0.5, 1.0), (0.3, 2.0), (0.1, 3.0)],
-                            [(TAU, TAU)] * 3)
+                            [(TAU, TAU)] * 3, TABLE.dt)
         rng = seeded_rng(4)
         before = {f: getattr(state, f).copy() for f in DroneArrays.FIELDS}
         rng_before = rng.bit_generator.state
@@ -153,8 +153,8 @@ class TestPulseResponse:
 
 class TestClock:
     def test_hidden_wrap_emits_broadcast_at_crossing(self):
-        me = drone(theta=1.0, hidden=TAU - 0.01, omega=2.0, hidden_omega=1.0)
-        due = advance_clock(me.state, 0.02)
+        me = drone(theta=1.0, hidden=TAU - 0.01, omega=2.0, hidden_omega=1.0, dt=0.02)
+        due = advance_clock(me.state)
         assert len(due) == 1
         row, offset, theta = due[0]
         assert row == me.row
@@ -163,20 +163,13 @@ class TestClock:
         assert me.hidden == pytest.approx(0.01)
 
     def test_zero_omega_keeps_theta(self):
-        me = drone(theta=0.7, omega=0.0, hidden_omega=1.0)
-        advance_clock(me.state, 0.5)
+        me = drone(theta=0.7, omega=0.0, hidden_omega=1.0, dt=0.5)
+        advance_clock(me.state)
         assert me.theta == 0.7
 
     def test_no_wrap_no_broadcast(self):
         me = drone(hidden=1.0)
-        assert advance_clock(me.state, 0.01) == []
-
-    def test_each_step_uses_its_own_dt(self):
-        me = drone(omega=1.0, hidden_omega=1.0)
-        advance_clock(me.state, 0.01)
-        advance_clock(me.state, 1.0)
-        assert me.theta == pytest.approx(1.01)
-        assert me.hidden == pytest.approx(1.01)
+        assert advance_clock(me.state) == []
 
     def test_antiphase_pair_alternates_evenly(self):
         eng = build_engine(
@@ -238,21 +231,21 @@ class TestBroadcastStaggering:
 
 class TestMotion:
     def test_no_pulse_no_motion(self):
-        me = drone(pos=(0.4, 0.2))
-        apply_motion(me.state, 1.0)
+        me = drone(pos=(0.4, 0.2), dt=1.0)
+        apply_motion(me.state)
         assert np.array_equal(me.pos, vec(0.4, 0.2))
 
     def test_constant_command_integrates(self):
-        me = drone()
+        me = drone(dt=0.5)
         me.command = vec(1.0, 0.0)
-        apply_motion(me.state, 0.5)
+        apply_motion(me.state)
         assert np.allclose(me.pos, vec(0.5, 0.0))
 
     def test_command_persists_between_pulses(self):
-        me = drone()
+        me = drone(dt=0.1)
         me.command = vec(0.2, -0.1)
         for _ in range(10):
-            apply_motion(me.state, 0.1)
+            apply_motion(me.state)
         assert np.allclose(me.pos, vec(0.2, -0.1))
 
 
@@ -286,6 +279,25 @@ class TestEngineInvariants:
         assert eng.state.ids is not ids and eng.state.filters is not filters
         assert eng.state.ids == ([0, 1, 2, 3] if change == "spawn" else [0, 2])
 
+    @pytest.mark.parametrize("freq_var", [0.0, 10.0])
+    def test_swarm_is_built_for_the_run_dt(self, freq_var):
+        # With freq_var = 10 this is the `negative_rates` golden variant's
+        # config, whose drones draw negative rates.
+        cfg = parse_config(scenario_text("quincunx_ma10") + f"drone.freq_var = {freq_var}\n")
+        eng = build_drone_engine(cfg)
+        swarms = [eng.state]
+        eng.add_drone((0.5, 0.5))
+        swarms.append(eng.state)
+        eng.despawn(1)
+        swarms.append(eng.state)
+        assert swarms[0].negative_rates is (freq_var > 0.0)
+        for s in swarms:
+            rate_dt = s.rates * cfg.dt
+            assert s.dt == cfg.dt and s.rate_dt.tobytes() == rate_dt.tobytes()
+            assert s.negative_rates is bool((s.rates < 0.0).any())
+            assert s.top_rate == max(0.0, *rate_dt.reshape(-1).tolist())
+            assert s.top == math.inf
+
     def test_uncoupled_spawned_drone_keeps_offset(self):
         eng = build_engine(n=3, drone_k_visible=0.0)
         r0 = metrics.order_parameter([d.theta for d in drones(eng)])
@@ -310,10 +322,10 @@ class TestEngineInvariants:
         thetas = []
         for k_hidden in (0.0, -0.1):
             cfg = drone_cfg(drone_k_hidden=k_hidden, drone_b=3.0)
-            me = drone(theta=0.9, hidden=2.5)
+            me = drone(theta=0.9, hidden=2.5, dt=0.05)
             out = []
             for msg in schedule:
-                advance_clock(me.state, 0.05)
+                advance_clock(me.state)
                 hear(me, msg, cfg)
                 out.append(me.theta)
             thetas.append(out)

@@ -57,7 +57,7 @@ class TestWrapAngle:
         xs = np.array([-7.0, -1e-17, 0.0, 1.0, TAU, 10.0])
         pos = np.column_stack([np.arange(6.0), np.zeros(6)])
         cfg = ScenarioConfig(n=6, ref_k=0.0, ref_j=0.0)
-        out = step_phases(pos, xs, np.zeros(6), cfg, 0.01)
+        out = step_phases(pos, xs, np.zeros(6), cfg, 0.01, seeded_rng(0))
         assert np.all(out >= 0.0) and np.all(out < TAU)
         for x, w in zip(xs, out):
             assert w == wrap_angle(float(x))

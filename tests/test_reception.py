@@ -113,8 +113,9 @@ def deliveries(draw):
 
 
 def swarm(ids, pos, phases, commands, mode):
+    """A swarm that only hears pulses, so its dt is never used."""
     filters = [make_filter(*mode) for _ in pos]
-    return DroneArrays(ids, filters, pos, commands, phases, [(TAU, TAU)] * len(pos))
+    return DroneArrays(ids, filters, pos, commands, phases, [(TAU, TAU)] * len(pos), 0.01)
 
 
 @settings(max_examples=300, deadline=None)

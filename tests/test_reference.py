@@ -27,34 +27,34 @@ class TestSpatialStep:
         assert d_star == pytest.approx(5.0 / 3.0)
         pos = np.array([[0.0, 0.0], [d_star, 0.0]])
         theta = np.zeros(2)
-        v = velocities(pos, theta, CFG)
+        v = velocities(pos, theta, CFG, seeded_rng(0))
         assert np.max(np.abs(v)) < 1e-12
 
     def test_closer_than_equilibrium_repels(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         theta = np.zeros(2)
-        v = velocities(pos, theta, CFG)
+        v = velocities(pos, theta, CFG, seeded_rng(0))
         assert v[0, 0] < 0.0 and v[1, 0] > 0.0
 
     def test_farther_than_equilibrium_attracts(self):
         pos = np.array([[0.0, 0.0], [3.0, 0.0]])
         theta = np.zeros(2)
-        v = velocities(pos, theta, CFG)
+        v = velocities(pos, theta, CFG, seeded_rng(0))
         assert v[0, 0] > 0.0 and v[1, 0] < 0.0
 
     def test_no_phase_influence_when_j_zero(self):
         p = ScenarioConfig(n=3, ref_k=0.5, ref_j=0.0, ref_a=1.0, ref_b=2.0)
         rng = seeded_rng(0)
         pos = rng.uniform(-1, 1, (3, 2))
-        v1 = velocities(pos, np.array([0.0, 1.0, 4.0]), p)
-        v2 = velocities(pos, np.array([2.0, 3.0, 0.5]), p)
+        v1 = velocities(pos, np.array([0.0, 1.0, 4.0]), p, seeded_rng(0))
+        v2 = velocities(pos, np.array([2.0, 3.0, 0.5]), p, seeded_rng(0))
         assert np.allclose(v1, v2)
 
     def test_two_agent_symmetric_motion_stays_on_line(self):
         pos = np.array([[-1.3, 0.0], [1.3, 0.0]])
         theta = np.array([0.7, 0.7])
         for _ in range(500):
-            pos, _ = step_positions(pos, theta, CFG, 0.01)
+            pos, _ = step_positions(pos, theta, CFG, 0.01, seeded_rng(0))
         assert np.allclose(pos[:, 1], 0.0, atol=1e-12)
         assert pos[0, 0] == pytest.approx(-pos[1, 0], abs=1e-9)
 
@@ -64,14 +64,14 @@ class TestPhaseStep:
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         theta = np.array([1.2, 1.2])
         omega = np.zeros(2)
-        out = step_phases(pos, theta, omega, CFG, 0.01)
+        out = step_phases(pos, theta, omega, CFG, 0.01, seeded_rng(0))
         assert out[0] == out[1]
 
     def test_antipodal_drift_is_natural_frequency_only(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         theta = np.array([0.0, math.pi])
         omega = np.array([0.5, 0.5])
-        out = step_phases(pos, theta, omega, CFG, 0.01)
+        out = step_phases(pos, theta, omega, CFG, 0.01, seeded_rng(0))
         assert out[0] == pytest.approx(0.5 * 0.01, abs=1e-15)
         assert out[1] == pytest.approx(math.pi + 0.5 * 0.01, abs=1e-12)
 
@@ -81,7 +81,7 @@ class TestPhaseStep:
         theta = np.array([0.0, math.pi / 2])
         omega = np.zeros(2)
         dt = 0.01
-        out = step_phases(pos, theta, omega, CFG, dt)
+        out = step_phases(pos, theta, omega, CFG, dt, seeded_rng(0))
         assert out[0] == pytest.approx((CFG.ref_k / 2) * dt, rel=1e-12)
 
 
@@ -107,8 +107,8 @@ class TestSymmetries:
         p = ScenarioConfig(n=5, ref_k=0.7, ref_j=0.8, ref_a=1.0, ref_b=3.0)
         pos, theta, omega = state
         for _ in range(steps):
-            new_pos, _ = step_positions(pos, theta, p, 0.01)
-            theta = step_phases(pos, theta, omega, p, 0.01)
+            new_pos, _ = step_positions(pos, theta, p, 0.01, seeded_rng(0))
+            theta = step_phases(pos, theta, omega, p, 0.01, seeded_rng(0))
             pos = new_pos
         return pos, theta
 
@@ -148,8 +148,8 @@ class TestSymmetries:
         pos, theta, omega = init_state(p, seeded_rng(3))
         com0 = pos.mean(axis=0)
         for _ in range(1000):
-            new_pos, _ = step_positions(pos, theta, p, 0.01)
-            theta = step_phases(pos, theta, omega, p, 0.01)
+            new_pos, _ = step_positions(pos, theta, p, 0.01, seeded_rng(0))
+            theta = step_phases(pos, theta, omega, p, 0.01, seeded_rng(0))
             pos = new_pos
         assert np.linalg.norm(pos.mean(axis=0) - com0) < 1e-9
 
@@ -196,8 +196,6 @@ class TestRunReference:
         p = ScenarioConfig(n=2, ref_k=0.0, ref_j=0.0, ref_a=1.0, ref_b=1.0)
         pos = np.zeros((2, 2))
         theta = np.zeros(2)
-        v = velocities(pos, theta, p, rng=seeded_rng(0))
+        v = velocities(pos, theta, p, seeded_rng(0))
         assert np.all(np.isfinite(v))
         assert np.linalg.norm(v[0]) > 0.0
-        with pytest.raises(ValueError):
-            velocities(pos, theta, p, rng=None)

@@ -117,13 +117,6 @@ def test_kernel_matches_parent_rates(swarm, seed):
     assert rng_kernel.bit_generator.state == rng_parent.bit_generator.state
 
 
-def test_kernel_refuses_coincident_agents_without_rng():
-    cfg = ScenarioConfig(n=3, ref_k=0.7, ref_j=0.8)
-    pos = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="no RNG"):
-        _kernel(cfg, np.zeros(3), None, np.array((*pos.T, np.zeros(3))))(True)
-
-
 # The step and agent each case names, as the parent's per-call rates gave
 # them; every case blows up on the first step, whose check covers the
 # initial rates too.
