@@ -184,12 +184,8 @@ class DroneSwarmEngine:
         return drone_id
 
     def despawn(self, drone_id: int) -> None:
-        """Remove drone `drone_id`'s row; one that has departed already is
-        ignored, and one never spawned raises KeyError."""
-        if not 0 <= drone_id < self._spawned:
-            raise KeyError(drone_id)
-        if drone_id in self.state.ids:
-            self.state = self.state.without(drone_id)
+        """Remove living drone `drone_id`'s row."""
+        self.state = self.state.without(drone_id)
 
     def _keep(self, ticks, rows: np.ndarray) -> None:
         """Keep the samples at `ticks`, one row of `values` each (one row may be 1-D),
@@ -220,8 +216,6 @@ class DroneSwarmEngine:
         )
 
     def _nearest_centroid(self) -> int:
-        if not self.state.ids:
-            raise ScenarioEventError("despawn of nearest_centroid with no agents alive")
         pos = self.state.pos
         centroid = np.mean(pos, axis=0)
         return min(zip((float(np.linalg.norm(p - centroid)) for p in pos), self.state.ids))[1]

@@ -170,17 +170,18 @@ def rainbow_correlation(positions, thetas) -> float | None:
     return num / math.sqrt(den_a * den_b)
 
 
-def broadcast_spacing_stats(fire_times) -> tuple[float, float, float]:
+def broadcast_spacing_stats(fire_times) -> tuple[float | None, float | None, float | None]:
     """Gap statistics of the interleaved global fire sequence.
 
     `fire_times` is a per-agent collection of fire instants (any
     iterable of iterables). Returns (mean_gap, min_gap, jain_fairness)
-    over consecutive gaps of the merged, sorted sequence. Fairness is
-    (sum g)^2 / (M * sum g^2); all-equal gaps (including all-zero) score 1.
+    over consecutive gaps of the merged, sorted sequence, or three Nones
+    below two fires. Fairness is (sum g)^2 / (M * sum g^2); all-equal
+    gaps (including all-zero) score 1.
     """
     merged = sorted(t for times in fire_times for t in times)
     if len(merged) < 2:
-        raise ValueError("need at least two fires for gap statistics")
+        return None, None, None
     gaps = np.diff(np.array(merged))
     sq = float(np.sum(gaps**2))
     if sq == 0.0:

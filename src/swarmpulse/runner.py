@@ -218,12 +218,9 @@ def _run_drone(cfg: ScenarioConfig, name: str) -> RunResult:
     final_speed = max(
         (float(np.linalg.norm(v)) for v in vel[len(vel) - counts[-1]:]), default=0.0
     )
-    if len(engine.fire_log) >= 2:
-        mean_gap, min_gap, jain = metrics_mod.broadcast_spacing_stats(
-            [[t for t, _ in engine.fire_log]]
-        )
-    else:
-        mean_gap = min_gap = jain = None
+    mean_gap, min_gap, jain = metrics_mod.broadcast_spacing_stats(
+        [[t for t, _ in engine.fire_log]]
+    )
     return _result(
         cfg, name, *columns,
         fire_log=engine.fire_log,

@@ -60,19 +60,12 @@ METRICS_HEADER = (
 CHUNK_ROWS = 512
 
 
-def fmt(value) -> str:
-    """Canonical cell formatting: 9 significant digits, '' for missing."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def fmt(value: int | float | None) -> str:
+    """Canonical cell formatting: an int in full, a float to 9 significant
+    digits, '' for None or NaN."""
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return f"{value:.9g}"
-    return str(value)
+    return "" if value is None or math.isnan(value) else f"{value:.9g}"
 
 
 # Cell layout tables; rows indexed by the exponent E are at E + _E0.

@@ -256,10 +256,6 @@ class TestEngineInvariants:
         assert eng.add_drone((1.0, 1.0)) == 3
         eng.despawn(0)
         assert eng.add_drone((1.0, 1.0)) == 4
-        eng.despawn(2)  # departed already: ignored
-        for unknown in (-1, 5):
-            with pytest.raises(KeyError):
-                eng.despawn(unknown)
         assert eng.state.ids == [1, 3, 4] and eng.state.pos.shape == (3, 2)
 
     @pytest.mark.parametrize("change", ["spawn", "despawn"])

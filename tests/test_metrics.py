@@ -336,8 +336,8 @@ class TestBroadcastSpacing:
         assert jain < 0.7
 
     def test_needs_two_fires(self):
-        with pytest.raises(ValueError):
-            broadcast_spacing_stats([[1.0]])
+        for fires in ([], [[]], [[1.0]]):
+            assert broadcast_spacing_stats(fires) == (None, None, None)
 
 
 class TestFormationError:
