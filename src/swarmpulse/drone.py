@@ -52,9 +52,9 @@ built for the run's dt, so its rates and their per-tick steps are fixed
 with it. The clock and motion kernels, `advance_clock` and
 `apply_motion`, step every row at once by that dt. A spawn or a despawn
 builds the next swarm (`joined`, `without`) and leaves the current one
-as it was. `on_pulse_received` serves every
-row that hears one pulse in one call: it reads the rows once as Python
-floats, updates each in turn, and writes the rows back once.
+as it was. `on_pulse_received` serves every row that hears one pulse in
+one call: it reads the rows once as Python floats, updates each in
+turn, and writes the rows back once.
 """
 
 from __future__ import annotations
@@ -82,10 +82,11 @@ class DroneArrays:
     and `phases` are consecutive views of one buffer, `values`, so a
     single reduction can check all three. Every kernel updates them in
     place; membership and rates never change in place. A swarm is built
-    for the run's tick `dt`, and fixes with its rates `rate_dt`, the
-    rates times dt, `top_rate`, its largest entry, and `negative_rates`.
-    `top`, the largest raw phase of the last clock step (inf before
-    one), and `top_rate` bound the ticks to the next wrap.
+    for the run's tick `dt`, from which it derives, once, `rate_dt`
+    (the rates times dt), `top_rate` (its largest entry, or 0) and
+    `negative_rates`. `top`, the largest raw phase of the last clock
+    step (inf before one), and `top_rate` bound the ticks to the next
+    wrap.
     """
 
     FIELDS = ("pos", "command", "phases", "rates")

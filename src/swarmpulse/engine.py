@@ -39,9 +39,9 @@ membership change binds `state` to a new swarm and never mutates the
 old one, so whoever holds it sees the swarm as it was. Steps 1 and 3
 are one array kernel each per tick (`drone.advance_clock`,
 `drone.apply_motion`); step 2 is one `drone.on_pulse_received` call
-per delivered pulse, which serves every row but the sender's. Every value is computed by the same floating-point
-operations in the same order as a per-drone loop would, so the layout
-changes no output bit.
+per delivered pulse, which serves every row but the sender's. Every
+value is computed by the same floating-point operations in the same
+order as a per-drone loop would, so the layout changes no output bit.
 
 `step()` advances one tick. `run()` also glides over quiet ticks: those
 with no delivery due (the medium's `next_due` is after the tick's end

@@ -278,7 +278,7 @@ class TestEngineInvariants:
     @pytest.mark.parametrize("freq_var", [0.0, 10.0])
     def test_swarm_is_built_for_the_run_dt(self, freq_var):
         # With freq_var = 10 this is the `negative_rates` golden variant's
-        # config, whose drones draw negative rates.
+        # config but for its duration: its drones draw negative rates.
         cfg = parse_config(scenario_text("quincunx_ma10") + f"drone.freq_var = {freq_var}\n")
         eng = build_drone_engine(cfg)
         swarms = [eng.state]
